@@ -11,6 +11,10 @@
 /// (BENCH_hotpath.json in CI) that `rdse compare` diffs against the
 /// committed baseline to gate order-of-magnitude hot-path regressions.
 ///
+/// Models: motion detection at 2000 CLBs (about one context) and at 100
+/// CLBs (the many-context end of the Fig. 3 sweep, about ten contexts),
+/// and a 120-task synthetic graph.
+///
 /// Knobs: --moves N (default 20000), --seed S, --repeat R (default 3),
 /// --json PATH. Each model's full/incremental pair is driven R times and
 /// the fastest run per path is reported — wall-clock minima are robust to
@@ -105,12 +109,16 @@ struct ModelReport {
   double seq_diff_hit_rate = 0.0;     ///< chain edges kept / chain edges seen
   double seq_edges_added_per_eval = 0.0;
   double seq_edges_reweighted_per_eval = 0.0;  ///< in-place weight patches
+  /// Contexts whose initials/terminals a touched-RC realization re-read:
+  /// bounded by the edited runs, independent of the RC's context count.
+  double contexts_rederived_per_rc_probe = 0.0;
   // Micro-profile (one dedicated profiled pass; informational, not gated —
   // absolute phase times are machine-dependent).
   double profile_stage_ns_per_eval = 0.0;      ///< moved-task staging
   double profile_reconcile_ns_per_eval = 0.0;  ///< chain diff + RC realize
   double profile_context_ns_per_eval = 0.0;    ///< RC context accounting
   double profile_relax_ns_per_eval = 0.0;      ///< delta relaxation
+  double profile_rollback_ns_per_eval = 0.0;   ///< cyclic rollback + discard
   std::int64_t clbs_delta_hits = 0;    ///< CLB sums served without a walk
   std::int64_t clbs_delta_misses = 0;  ///< CLB sums re-summed over members
 };
@@ -194,6 +202,10 @@ ModelReport compare(const std::string& name, const TaskGraph& tg,
     rep.seq_edges_reweighted_per_eval =
         static_cast<double>(stats->seq_edges_reweighted) /
         static_cast<double>(stats->builds);
+    rep.contexts_rederived_per_rc_probe =
+        stats->rc_probes > 0 ? static_cast<double>(stats->bounds_computed) /
+                                   static_cast<double>(stats->rc_probes)
+                             : 0.0;
     rep.clbs_delta_hits = stats->clbs_reused;
     rep.clbs_delta_misses = stats->clbs_computed;
   }
@@ -217,6 +229,8 @@ ModelReport compare(const std::string& name, const TaskGraph& tg,
           static_cast<double>(ps->profile_context_ns) / n;
       rep.profile_relax_ns_per_eval =
           static_cast<double>(ps->profile_relax_ns) / n;
+      rep.profile_rollback_ns_per_eval =
+          static_cast<double>(ps->profile_rollback_ns) / n;
     }
   }
   return rep;
@@ -224,28 +238,30 @@ ModelReport compare(const std::string& name, const TaskGraph& tg,
 
 void print_table(const std::vector<ModelReport>& reports) {
   std::printf(
-      "\n%-16s %5s | %8s %8s %7s | %9s %9s %7s | %8s %7s %6s %6s\n",
+      "\n%-24s %5s | %8s %8s %7s | %9s %9s %7s | %8s %7s %6s %6s\n",
       "model", "tasks", "full/mv", "inc/mv", "speedup", "full/eval",
       "inc/eval", "evalspd", "relax/ev", "jrnl/ev", "diff%", "scan%");
   for (const ModelReport& r : reports) {
     std::printf(
-        "%-16s %5zu | %7.0fn %7.0fn %6.2fx | %8.0fn %8.0fn %6.2fx | "
+        "%-24s %5zu | %7.0fn %7.0fn %6.2fx | %8.0fn %8.0fn %6.2fx | "
         "%8.2f %7.2f %5.1f%% %5.1f%%\n",
         r.model.c_str(), r.tasks, r.full_ns_per_move, r.inc_ns_per_move,
         r.speedup, r.full_ns_per_eval, r.inc_ns_per_eval, r.eval_speedup,
         r.relaxed_per_probe, r.journal_entries_per_probe,
         100.0 * r.seq_diff_hit_rate, 100.0 * r.makespan_rescan_rate);
   }
-  std::printf("%-16s %5s | %10s %10s %10s %10s | %9s %9s\n", "micro-profile",
-              "", "stage/ev", "recon/ev", "ctx/ev", "relax/ev", "clb hit",
-              "clb miss");
+  std::printf("%-24s | %10s %10s %10s %10s %10s | %9s %9s %8s\n",
+              "micro-profile", "stage/ev", "recon/ev", "ctx/ev", "relax/ev",
+              "rollbk/ev", "clb hit", "clb miss", "ctx/rc");
   for (const ModelReport& r : reports) {
-    std::printf("%-16s %5s | %9.0fn %9.0fn %9.0fn %9.0fn | %9lld %9lld\n",
-                r.model.c_str(), "", r.profile_stage_ns_per_eval,
-                r.profile_reconcile_ns_per_eval, r.profile_context_ns_per_eval,
-                r.profile_relax_ns_per_eval,
-                static_cast<long long>(r.clbs_delta_hits),
-                static_cast<long long>(r.clbs_delta_misses));
+    std::printf(
+        "%-24s | %9.0fn %9.0fn %9.0fn %9.0fn %9.0fn | %9lld %9lld %8.2f\n",
+        r.model.c_str(), r.profile_stage_ns_per_eval,
+        r.profile_reconcile_ns_per_eval, r.profile_context_ns_per_eval,
+        r.profile_relax_ns_per_eval, r.profile_rollback_ns_per_eval,
+        static_cast<long long>(r.clbs_delta_hits),
+        static_cast<long long>(r.clbs_delta_misses),
+        r.contexts_rederived_per_rc_probe);
   }
   std::printf("\n");
 }
@@ -284,10 +300,13 @@ void write_json(const std::string& path, std::int64_t moves,
     row.set("seq_diff_hit_rate", r.seq_diff_hit_rate);
     row.set("seq_edges_added_per_eval", r.seq_edges_added_per_eval);
     row.set("seq_edges_reweighted_per_eval", r.seq_edges_reweighted_per_eval);
+    row.set("contexts_rederived_per_rc_probe",
+            r.contexts_rederived_per_rc_probe);
     row.set("profile_stage_ns_per_eval", r.profile_stage_ns_per_eval);
     row.set("profile_reconcile_ns_per_eval", r.profile_reconcile_ns_per_eval);
     row.set("profile_context_ns_per_eval", r.profile_context_ns_per_eval);
     row.set("profile_relax_ns_per_eval", r.profile_relax_ns_per_eval);
+    row.set("profile_rollback_ns_per_eval", r.profile_rollback_ns_per_eval);
     row.set("clbs_delta_hits", r.clbs_delta_hits);
     row.set("clbs_delta_misses", r.clbs_delta_misses);
     results.push_back(std::move(row));
@@ -316,15 +335,17 @@ int main(int argc, char** argv) {
 
   std::vector<ModelReport> reports;
 
-  {
-    const Application app = make_motion_detection_app();
+  const Application motion = make_motion_detection_app();
+  for (const auto& [name, clbs] :
+       {std::pair<const char*, std::int32_t>{"motion_detection", 2000},
+        {"motion_detection_100clb", 100}}) {
     const Architecture arch = make_cpu_fpga_architecture(
-        2000, kMotionDetectionTrPerClb, kMotionDetectionBusRate);
+        clbs, kMotionDetectionTrPerClb, kMotionDetectionBusRate);
     Rng init(seed ^ 7);
     const Solution initial =
-        Solution::random_partition(app.graph, arch, 0, 1, init);
-    reports.push_back(compare("motion_detection", app.graph, arch, initial,
-                              seed, moves, repeats));
+        Solution::random_partition(motion.graph, arch, 0, 1, init);
+    reports.push_back(compare(name, motion.graph, arch, initial, seed, moves,
+                              repeats));
   }
 
   {

@@ -88,8 +88,7 @@ Solution decode_partition(const TaskGraph& tg, const Architecture& arch,
         sol.spawn_context_after(rc, c == 0 ? Solution::kFront : c - 1);
     RDSE_ASSERT(ctx == c);
     for (TaskId t : contexts[c]) {
-      sol.insert_in_context(t, rc, ctx, impl_choice[t],
-                            tg.task(t).hw.at(impl_choice[t]).clbs);
+      sol.insert_in_context(t, rc, ctx, impl_choice[t], &tg);
     }
   }
   return sol;

@@ -989,6 +989,30 @@ int cmd_request(const Options& opts, std::ostream& out) {
   }
 }
 
+/// One section of kUsage: the lines from "<title>:" up to the next blank
+/// line (empty when there is no such section).
+std::string_view usage_section(std::string_view title) {
+  const std::string_view usage = kUsage;
+  const std::string head = "\n" + std::string(title) + ":\n";
+  const std::size_t at = usage.find(head);
+  if (at == std::string_view::npos) return {};
+  const std::size_t begin = at + 1;
+  const std::size_t end = usage.find("\n\n", begin);
+  return usage.substr(begin, end == std::string_view::npos
+                                 ? std::string_view::npos
+                                 : end + 1 - begin);
+}
+
+/// `rdse <command> --help`: the command's section of the usage text, after
+/// the common options for the commands that take them.
+void print_command_usage(const std::string& command, std::ostream& out) {
+  out << "usage: rdse " << command << " [options]\n\n";
+  if (command == "explore" || command == "bench" || command == "sweep") {
+    out << usage_section("common options") << '\n';
+  }
+  out << usage_section(command + " options");
+}
+
 }  // namespace
 
 int run(int argc, const char* const* argv, std::ostream& out,
@@ -1001,6 +1025,15 @@ int run(int argc, const char* const* argv, std::ostream& out,
   if (command == "help" || command == "--help" || command == "-h") {
     out << kUsage;
     return 0;
+  }
+  if (!usage_section(command + " options").empty()) {
+    for (int i = 2; i < argc; ++i) {
+      const std::string_view arg = argv[i];
+      if (arg == "--help" || arg == "-h") {
+        print_command_usage(command, out);
+        return 0;
+      }
+    }
   }
   try {
     // argv[1] (the subcommand) takes the program-name slot, so option

@@ -7,14 +7,42 @@
 namespace rdse {
 namespace {
 
-/// Implementation indices of `task` that fit an empty context of `dev`.
-std::vector<std::uint32_t> fitting_impls(const Task& task,
-                                         const ReconfigurableCircuit& dev) {
-  std::vector<std::uint32_t> out;
-  for (std::uint32_t k = 0; k < task.hw.size(); ++k) {
-    if (task.hw.at(k).clbs <= dev.n_clbs()) out.push_back(k);
+// The draws below pick "the i-th candidate" by counting candidates, drawing
+// an index and walking to it, instead of collecting the candidates in a
+// vector: the same single rng.index(count) draw, without a heap allocation
+// per move.
+
+/// Walk to the `i`-th element of [0, n) that satisfies `pred`.
+template <typename Pred>
+std::uint32_t nth_matching(std::uint32_t n, std::size_t i, Pred pred) {
+  for (std::uint32_t k = 0; k < n; ++k) {
+    if (pred(k) && i-- == 0) return k;
   }
-  return out;
+  RDSE_ASSERT_MSG(false, "nth_matching: index beyond the matches");
+  return n;
+}
+
+/// Does implementation `k` of `task` fit an empty context of `dev`?
+bool impl_fits(const Task& task, const ReconfigurableCircuit& dev,
+               std::uint32_t k) {
+  return task.hw.at(k).clbs <= dev.n_clbs();
+}
+
+/// Number of implementations of `task` fitting an empty context of `dev`.
+std::size_t count_fitting(const Task& task, const ReconfigurableCircuit& dev) {
+  std::size_t n = 0;
+  for (std::uint32_t k = 0; k < task.hw.size(); ++k) {
+    n += impl_fits(task, dev, k) ? 1 : 0;
+  }
+  return n;
+}
+
+/// Draw a uniformly random fitting implementation (`n_fit` > 0 of them).
+std::uint32_t draw_fitting(const Task& task, const ReconfigurableCircuit& dev,
+                           std::size_t n_fit, Rng& rng) {
+  return nth_matching(
+      static_cast<std::uint32_t>(task.hw.size()), rng.index(n_fit),
+      [&](std::uint32_t k) { return impl_fits(task, dev, k); });
 }
 
 }  // namespace
@@ -107,7 +135,7 @@ bool apply_reassign(const TaskGraph& tg, const Architecture& arch,
   switch (dest.kind()) {
     case ResourceKind::kProcessor: {
       if (ps.resource == pd_before.resource) return false;  // m1 territory
-      sol.remove_task(vs);
+      sol.remove_task(vs, &tg);
       const auto order = sol.processor_order(pd_before.resource);
       const auto it = std::find(order.begin(), order.end(), vd);
       RDSE_ASSERT(it != order.end());
@@ -120,18 +148,18 @@ bool apply_reassign(const TaskGraph& tg, const Architecture& arch,
       const Task& task = tg.task(vs);
       if (!task.hw_capable()) return false;
       const auto& dev = arch.reconfigurable(pd_before.resource);
-      const auto fits = fitting_impls(task, dev);
-      if (fits.empty()) return false;
+      const std::size_t n_fit = count_fitting(task, dev);
+      if (n_fit == 0) return false;
 
       // Keep the current implementation when it fits the device, otherwise
       // draw one; the dedicated kChangeImpl move explores the rest.
-      std::uint32_t impl = fits[rng.index(fits.size())];
+      std::uint32_t impl = draw_fitting(task, dev, n_fit, rng);
       if (ps.context >= 0 && ps.resource == pd_before.resource &&
-          std::find(fits.begin(), fits.end(), ps.impl) != fits.end()) {
+          impl_fits(task, dev, ps.impl)) {
         impl = ps.impl;
       }
 
-      sol.remove_task(vs);
+      sol.remove_task(vs, &tg);
       // Removing vs may have collapsed a context on the destination RC:
       // re-read the destination task's placement.
       const Placement pd = sol.placement(vd);
@@ -140,21 +168,19 @@ bool apply_reassign(const TaskGraph& tg, const Architecture& arch,
       const std::int32_t used =
           sol.context_clbs(tg, pd.resource, ctx);
       if (used + task.hw.at(impl).clbs <= dev.n_clbs()) {
-        sol.insert_in_context(vs, pd.resource, ctx, impl,
-                              task.hw.at(impl).clbs);
+        sol.insert_in_context(vs, pd.resource, ctx, impl, &tg);
       } else {
         // §4.3: "another context will be spawned if
         // nCLB(R(vd)) + C(vs) > NCLB".
         const std::size_t fresh = sol.spawn_context_after(pd.resource, ctx);
-        sol.insert_in_context(vs, pd.resource, fresh, impl,
-                              task.hw.at(impl).clbs);
+        sol.insert_in_context(vs, pd.resource, fresh, impl, &tg);
       }
       return true;
     }
     case ResourceKind::kAsic: {
       const Task& task = tg.task(vs);
       if (!task.hw_capable()) return false;
-      sol.remove_task(vs);
+      sol.remove_task(vs, &tg);
       const auto impl =
           static_cast<std::uint32_t>(rng.index(task.hw.size()));
       sol.insert_on_asic(vs, pd_before.resource, impl);
@@ -173,7 +199,7 @@ bool apply_reassign_to_resource(const TaskGraph& tg, const Architecture& arch,
   switch (dest.kind()) {
     case ResourceKind::kProcessor: {
       if (ps.resource == target) return false;  // repositioning is m1
-      sol.remove_task(vs);
+      sol.remove_task(vs, &tg);
       const std::size_t size = sol.processor_order(target).size();
       sol.insert_on_processor(vs, target, rng.index(size + 1));
       return true;
@@ -182,10 +208,10 @@ bool apply_reassign_to_resource(const TaskGraph& tg, const Architecture& arch,
       const Task& task = tg.task(vs);
       if (!task.hw_capable()) return false;
       const auto& dev = arch.reconfigurable(target);
-      const auto fits = fitting_impls(task, dev);
-      if (fits.empty()) return false;
-      const std::uint32_t impl = fits[rng.index(fits.size())];
-      sol.remove_task(vs);
+      const std::size_t n_fit = count_fitting(task, dev);
+      if (n_fit == 0) return false;
+      const std::uint32_t impl = draw_fitting(task, dev, n_fit, rng);
+      sol.remove_task(vs, &tg);
       // Draw an existing context or "one past the end" = spawn a new tail
       // context; an overflowing existing choice also spawns (§4.3 rule).
       const std::size_t n_ctx = sol.context_count(target);
@@ -197,14 +223,14 @@ bool apply_reassign_to_resource(const TaskGraph& tg, const Architecture& arch,
                  dev.n_clbs()) {
         ctx = sol.spawn_context_after(target, ctx);
       }
-      sol.insert_in_context(vs, target, ctx, impl, task.hw.at(impl).clbs);
+      sol.insert_in_context(vs, target, ctx, impl, &tg);
       return true;
     }
     case ResourceKind::kAsic: {
       const Task& task = tg.task(vs);
       if (!task.hw_capable()) return false;
       if (ps.resource == target) return false;
-      sol.remove_task(vs);
+      sol.remove_task(vs, &tg);
       sol.insert_on_asic(vs, target,
                          static_cast<std::uint32_t>(rng.index(task.hw.size())));
       return true;
@@ -224,27 +250,30 @@ bool apply_change_impl(const TaskGraph& tg, const Architecture& arch,
 
   // Draw a different implementation; for RC tasks it must keep the context
   // within the device capacity (implementation growth does not spawn).
-  std::vector<std::uint32_t> options;
-  for (std::uint32_t k = 0; k < task.hw.size(); ++k) {
-    if (k == p.impl) continue;
-    if (res.kind() == ResourceKind::kReconfigurable) {
-      const auto& dev = arch.reconfigurable(p.resource);
-      const std::int32_t used = sol.context_clbs(
-          tg, p.resource, static_cast<std::size_t>(p.context));
-      const std::int32_t next =
-          used - task.hw.at(p.impl).clbs + task.hw.at(k).clbs;
-      if (next > dev.n_clbs()) continue;
-    }
-    options.push_back(k);
+  const bool on_rc = res.kind() == ResourceKind::kReconfigurable;
+  std::int32_t room = 0;  // CLBs the new implementation may occupy
+  if (on_rc) {
+    const auto ctx = static_cast<std::size_t>(p.context);
+    room = arch.reconfigurable(p.resource).n_clbs() -
+           sol.context_clbs(tg, p.resource, ctx) + task.hw.at(p.impl).clbs;
   }
-  if (options.empty()) return false;
-  const std::uint32_t impl = options[rng.index(options.size())];
-  if (res.kind() == ResourceKind::kReconfigurable) {
-    sol.set_impl(vs, impl, task.hw.at(impl).clbs);
+  const auto is_option = [&](std::uint32_t k) {
+    return k != p.impl && (!on_rc || task.hw.at(k).clbs <= room);
+  };
+  const auto n_impls = static_cast<std::uint32_t>(task.hw.size());
+  std::size_t n_options = 0;
+  for (std::uint32_t k = 0; k < n_impls; ++k) {
+    n_options += is_option(k) ? 1 : 0;
+  }
+  if (n_options == 0) return false;
+  const std::uint32_t impl =
+      nth_matching(n_impls, rng.index(n_options), is_option);
+  if (on_rc) {
+    sol.set_impl(vs, impl, &tg);
   } else {
     // ASIC: re-stage the placement to update the implementation.
     const ResourceId asic = p.resource;
-    sol.remove_task(vs);
+    sol.remove_task(vs, &tg);
     sol.insert_on_asic(vs, asic, impl);
   }
   return true;
@@ -252,12 +281,19 @@ bool apply_change_impl(const TaskGraph& tg, const Architecture& arch,
 
 bool apply_reorder_contexts(const Architecture& arch, Solution& sol,
                             Rng& rng) {
-  std::vector<ResourceId> candidates;
-  for (ResourceId rc : arch.reconfigurable_ids()) {
-    if (sol.context_count(rc) >= 2) candidates.push_back(rc);
+  const auto n_slots = static_cast<std::uint32_t>(arch.slot_count());
+  const auto is_candidate = [&](ResourceId id) {
+    return arch.alive(id) &&
+           arch.resource(id).kind() == ResourceKind::kReconfigurable &&
+           sol.context_count(id) >= 2;
+  };
+  std::size_t n_candidates = 0;
+  for (ResourceId id = 0; id < n_slots; ++id) {
+    n_candidates += is_candidate(id) ? 1 : 0;
   }
-  if (candidates.empty()) return false;
-  const ResourceId rc = candidates[rng.index(candidates.size())];
+  if (n_candidates == 0) return false;
+  const ResourceId rc =
+      nth_matching(n_slots, rng.index(n_candidates), is_candidate);
   const std::size_t k = rng.index(sol.context_count(rc) - 1);
   sol.swap_contexts(rc, k, k + 1);
   return true;
@@ -318,7 +354,7 @@ bool apply_create_resource(const TaskGraph& tg, Architecture& arch,
     case ResourceKind::kProcessor: {
       const ResourceId id =
           arch.add_processor("cpu" + std::to_string(slot));
-      sol.remove_task(vs);
+      sol.remove_task(vs, &tg);
       sol.insert_on_processor(vs, id, 0);
       return true;
     }
@@ -335,20 +371,21 @@ bool apply_create_resource(const TaskGraph& tg, Architecture& arch,
       }
       const ResourceId id =
           arch.add_reconfigurable("fpga" + std::to_string(slot), clbs, tr);
-      const auto fits = fitting_impls(task, arch.reconfigurable(id));
-      if (fits.empty()) {
+      const auto& dev = arch.reconfigurable(id);
+      const std::size_t n_fit = count_fitting(task, dev);
+      if (n_fit == 0) {
         arch.remove(id);
         return false;
       }
-      sol.remove_task(vs);
+      sol.remove_task(vs, &tg);
       const std::size_t ctx = sol.spawn_context_after(id, Solution::kFront);
-      const std::uint32_t impl = fits[rng.index(fits.size())];
-      sol.insert_in_context(vs, id, ctx, impl, task.hw.at(impl).clbs);
+      const std::uint32_t impl = draw_fitting(task, dev, n_fit, rng);
+      sol.insert_in_context(vs, id, ctx, impl, &tg);
       return true;
     }
     case ResourceKind::kAsic: {
       const ResourceId id = arch.add_asic("asic" + std::to_string(slot));
-      sol.remove_task(vs);
+      sol.remove_task(vs, &tg);
       sol.insert_on_asic(
           vs, id, static_cast<std::uint32_t>(rng.index(task.hw.size())));
       return true;
@@ -375,8 +412,10 @@ MoveOutcome generate_move(const TaskGraph& tg, Architecture& arch,
   if (config.enable_reassign && config.p_resource_target > 0.0 &&
       rng.bernoulli(config.p_resource_target)) {
     const auto vs = static_cast<TaskId>(rng.index(tg.task_count()));
-    const auto ids = arch.live_ids();
-    const ResourceId target = ids[rng.index(ids.size())];
+    const ResourceId target = nth_matching(
+        static_cast<std::uint32_t>(arch.slot_count()),
+        rng.index(arch.resource_count()),
+        [&arch](ResourceId id) { return arch.alive(id); });
     return MoveOutcome{
         MoveKind::kReassign,
         apply_reassign_to_resource(tg, arch, sol, vs, target, rng)};

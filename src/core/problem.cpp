@@ -64,10 +64,15 @@ void DseProblem::reset_state(Architecture arch, Solution sol) {
   const auto m = ev.evaluate(sol);
   RDSE_REQUIRE(m.has_value(), "reset_state: injected solution is infeasible");
   arch_ = std::move(arch);
-  sol_ = std::move(sol);
+  // Copy (not move) the solution in: the committed and candidate buffers
+  // keep the storage the hot path has grown, so a resumed annealing loop
+  // is allocation-free again right away. The candidate architecture is
+  // refreshed here for the same reason instead of on the next proposal.
+  sol_ = sol;
   metrics_ = *m;
   cost_ = cost_of(metrics_, arch_);
-  cand_arch_stale_ = true;
+  cand_arch_ = arch_;
+  cand_arch_stale_ = false;
   cand_sol_stale_ = true;
   if (inc_) inc_->reset(arch_, sol_);
 }

@@ -168,7 +168,7 @@ Solution solution_from_text(const TaskGraph& tg, const std::string& text) {
           fail(line_no, "implementation index out of range for '" + name +
                             "'");
         }
-        sol.insert_in_context(t, id, ctx, impl, tg.task(t).hw.at(impl).clbs);
+        sol.insert_in_context(t, id, ctx, impl, &tg);
         any = true;
       }
       if (!any) fail(line_no, "empty context");

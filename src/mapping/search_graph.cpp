@@ -45,182 +45,6 @@ ContextBoundary context_boundary(const TaskGraph& tg, const Solution& sol,
   return b;
 }
 
-namespace {
-
-struct RealizationCounters {
-  std::int64_t* bounds_reused = nullptr;
-  std::int64_t* bounds_computed = nullptr;
-  std::int64_t* clbs_reused = nullptr;
-  std::int64_t* clbs_computed = nullptr;
-};
-
-void compute_rc_realization(const TaskGraph& tg, const Solution& sol,
-                            ResourceId rc, RcRealization& out,
-                            const RcRealization* hint,
-                            std::span<const TaskId> touched_tasks = {},
-                            const RealizationCounters& counters = {}) {
-  const std::size_t n_ctx = sol.context_count(rc);
-  // Shrink/grow without discarding inner vector capacity.
-  if (out.members.size() > n_ctx) out.members.resize(n_ctx);
-  while (out.members.size() < n_ctx) out.members.emplace_back();
-  if (out.bounds.size() > n_ctx) out.bounds.resize(n_ctx);
-  while (out.bounds.size() < n_ctx) out.bounds.emplace_back();
-  out.clbs.resize(n_ctx);
-  for (std::size_t c = 0; c < n_ctx; ++c) {
-    const auto members = sol.context_tasks(rc, c);
-    out.members[c].assign(members.begin(), members.end());
-
-    // Reuse from the hint's context with an identical member list — exact
-    // for the boundary, which depends only on the member set and the
-    // application edges. Try the same index first (the common case), then
-    // search (contexts renumber under collapse/spawn/swap).
-    const ContextBoundary* reuse = nullptr;
-    std::size_t reuse_idx = 0;
-    if (hint != nullptr) {
-      if (c < hint->members.size() && hint->members[c] == out.members[c]) {
-        reuse = &hint->bounds[c];
-        reuse_idx = c;
-      } else {
-        for (std::size_t k = 0; k < hint->members.size(); ++k) {
-          if (hint->members[k] == out.members[c]) {
-            reuse = &hint->bounds[k];
-            reuse_idx = k;
-            break;
-          }
-        }
-      }
-    }
-
-    // The CLB sum also depends on the members' implementation choices;
-    // those can only have changed for journaled tasks, so a matched
-    // context holding no touched task keeps its committed sum.
-    bool clbs_valid = reuse != nullptr;
-    if (clbs_valid) {
-      for (TaskId t : touched_tasks) {
-        const Placement& p = sol.placement(t);
-        if (p.resource == rc && p.context == static_cast<std::int32_t>(c)) {
-          clbs_valid = false;
-          break;
-        }
-      }
-    }
-    if (clbs_valid) {
-      if (counters.clbs_reused != nullptr) ++*counters.clbs_reused;
-      out.clbs[c] = hint->clbs[reuse_idx];
-    } else if (const std::int32_t cached = sol.context_clbs_cached(rc, c);
-               cached >= 0) {
-      // No matching hint context (or a touched member), but the Solution's
-      // own per-context sum mirror is warm: the mutators maintained it as a
-      // delta, so this is the exact sum without walking the members.
-      if (counters.clbs_reused != nullptr) ++*counters.clbs_reused;
-      out.clbs[c] = cached;
-    } else {
-      if (counters.clbs_computed != nullptr) ++*counters.clbs_computed;
-      out.clbs[c] = sol.context_clbs(tg, rc, c);
-    }
-
-    if (reuse != nullptr) {
-      if (counters.bounds_reused != nullptr) ++*counters.bounds_reused;
-      out.bounds[c].initials.assign(reuse->initials.begin(),
-                                    reuse->initials.end());
-      out.bounds[c].terminals.assign(reuse->terminals.begin(),
-                                     reuse->terminals.end());
-    } else {
-      if (counters.bounds_computed != nullptr) ++*counters.bounds_computed;
-      context_boundary_into(tg, sol, rc, c, out.bounds[c]);
-    }
-  }
-}
-
-}  // namespace
-
-void SearchGraphCache::begin_build(std::span<const ResourceId> dirty,
-                                   std::span<const TaskId> touched_tasks) {
-  dirty_.assign(dirty.begin(), dirty.end());
-  touched_tasks_.assign(touched_tasks.begin(), touched_tasks.end());
-  staged_live_.clear();
-}
-
-bool SearchGraphCache::is_dirty(ResourceId rc) const {
-  return std::find(dirty_.begin(), dirty_.end(), rc) != dirty_.end();
-}
-
-void SearchGraphCache::ensure_slot(ResourceId rc) {
-  if (rc >= committed_.size()) {
-    committed_.resize(rc + 1);
-    committed_present_.resize(rc + 1, 0);
-    staged_.resize(rc + 1);
-  }
-}
-
-const RcRealization* SearchGraphCache::committed_entry(ResourceId rc) const {
-  if (rc >= committed_present_.size() || committed_present_[rc] == 0) {
-    return nullptr;
-  }
-  return &committed_[rc];
-}
-
-const RcRealization& SearchGraphCache::realize(const TaskGraph& tg,
-                                               const Solution& sol,
-                                               ResourceId rc) {
-  // Already realized during this build (e.g. once for edge surgery, once
-  // for context accounting).
-  if (std::find(staged_live_.begin(), staged_live_.end(), rc) !=
-      staged_live_.end()) {
-    return staged_[rc];
-  }
-  ensure_slot(rc);
-  if (!is_dirty(rc)) {
-    // Size check: insurance against a stale entry for a reused resource id
-    // (a dirty marking is expected whenever the realization changed).
-    if (committed_present_[rc] != 0 &&
-        committed_[rc].bounds.size() == sol.context_count(rc)) {
-      ++hits_;
-      return committed_[rc];
-    }
-  }
-  ++misses_;
-  RcRealization& out = staged_[rc];
-  compute_rc_realization(tg, sol, rc, out, committed_entry(rc),
-                         touched_tasks_,
-                         {&bounds_reused_, &bounds_computed_, &clbs_reused_,
-                          &clbs_computed_});
-  staged_live_.push_back(rc);
-  return out;
-}
-
-void SearchGraphCache::commit() {
-  // Swap rather than move so the displaced committed storage becomes the
-  // next build's staging capacity.
-  for (ResourceId rc : staged_live_) {
-    RcRealization& fresh = staged_[rc];
-    RcRealization& kept = committed_[rc];
-    kept.members.swap(fresh.members);
-    kept.bounds.swap(fresh.bounds);
-    kept.clbs.swap(fresh.clbs);
-    committed_present_[rc] = 1;
-  }
-  staged_live_.clear();
-}
-
-void SearchGraphCache::discard() { staged_live_.clear(); }
-
-void SearchGraphCache::erase(ResourceId rc) {
-  if (rc < committed_.size()) {
-    committed_present_[rc] = 0;
-    committed_[rc] = RcRealization();  // release storage; ids never reused
-    staged_[rc] = RcRealization();
-  }
-}
-
-void SearchGraphCache::clear() {
-  committed_.clear();
-  committed_present_.clear();
-  staged_.clear();
-  dirty_.clear();
-  staged_live_.clear();
-}
-
 TimeNs assigned_exec_time(const TaskGraph& tg, const Architecture& arch,
                           const Solution& sol, TaskId t) {
   const Placement& p = sol.placement(t);
@@ -251,8 +75,7 @@ SearchGraph build_search_graph(const TaskGraph& tg, const Architecture& arch,
 }
 
 void build_search_graph_into(SearchGraph& sg, const TaskGraph& tg,
-                             const Architecture& arch, const Solution& sol,
-                             SearchGraphCache* cache) {
+                             const Architecture& arch, const Solution& sol) {
   RDSE_REQUIRE(sol.task_count() == tg.task_count(),
                "build_search_graph: solution/task-graph size mismatch");
   sg.graph = tg.digraph();  // value copy: application edges keep their ids
@@ -293,37 +116,36 @@ void build_search_graph_into(SearchGraph& sg, const TaskGraph& tg,
   }
 
   // --- Ehw: context sequentialization + first-context release ------------
-  RcRealization local;  // fallback when no cache is supplied
+  std::vector<ContextBoundary> bounds;
+  std::vector<std::int32_t> clbs;
   for (ResourceId rc : arch.reconfigurable_ids()) {
     const std::size_t n_ctx = sol.context_count(rc);
     if (n_ctx == 0) continue;
     const ReconfigurableCircuit& dev = arch.reconfigurable(rc);
 
-    const RcRealization* real;
-    if (cache != nullptr) {
-      real = &cache->realize(tg, sol, rc);
-    } else {
-      compute_rc_realization(tg, sol, rc, local, nullptr);
-      real = &local;
-    }
-
-    sg.n_contexts += static_cast<int>(n_ctx);
+    bounds.resize(n_ctx);
+    clbs.assign(n_ctx, 0);
     for (std::size_t c = 0; c < n_ctx; ++c) {
-      sg.clbs_loaded += real->clbs[c];
-      sg.max_context_clbs = std::max(sg.max_context_clbs, real->clbs[c]);
+      context_boundary_into(tg, sol, rc, c, bounds[c]);
+      for (TaskId t : sol.context_tasks(rc, c)) {
+        clbs[c] += tg.task(t).hw.at(sol.placement(t).impl).clbs;
+      }
+      sg.clbs_loaded += clbs[c];
+      sg.max_context_clbs = std::max(sg.max_context_clbs, clbs[c]);
     }
+    sg.n_contexts += static_cast<int>(n_ctx);
 
-    const TimeNs first_load = dev.reconfiguration_time(real->clbs[0]);
+    const TimeNs first_load = dev.reconfiguration_time(clbs[0]);
     sg.init_reconfig += first_load;
-    for (TaskId t : real->bounds[0].initials) {
+    for (TaskId t : bounds[0].initials) {
       sg.release[t] = std::max(sg.release[t], first_load);
     }
 
     for (std::size_t c = 0; c + 1 < n_ctx; ++c) {
-      const TimeNs reconf = dev.reconfiguration_time(real->clbs[c + 1]);
+      const TimeNs reconf = dev.reconfiguration_time(clbs[c + 1]);
       sg.dyn_reconfig += reconf;
-      for (TaskId from : real->bounds[c].terminals) {
-        for (TaskId to : real->bounds[c + 1].initials) {
+      for (TaskId from : bounds[c].terminals) {
+        for (TaskId to : bounds[c + 1].initials) {
           add_edge(from, to, reconf, SearchEdgeKind::kHwSeq);
         }
       }

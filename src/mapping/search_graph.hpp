@@ -83,7 +83,9 @@ struct ContextBoundary {
   std::vector<TaskId> terminals;  ///< no immediate successor inside
 };
 
-/// Compute the boundary of context `ctx` of `rc` under `sol`.
+/// Compute the boundary of context `ctx` of `rc` under `sol` from the
+/// application edges — the reference the Solution's maintained link counts
+/// (Solution::append_boundary) must agree with.
 [[nodiscard]] ContextBoundary context_boundary(const TaskGraph& tg,
                                                const Solution& sol,
                                                ResourceId rc,
@@ -93,78 +95,6 @@ struct ContextBoundary {
 void context_boundary_into(const TaskGraph& tg, const Solution& sol,
                            ResourceId rc, std::size_t ctx,
                            ContextBoundary& out);
-
-/// Everything the builder derives per reconfigurable circuit: the boundary
-/// and CLB occupancy of each context. Memoized across moves by
-/// SearchGraphCache, since a local move leaves most RCs untouched; the
-/// member lists are kept so a recomputation can reuse the boundary of any
-/// context whose membership is unchanged (boundaries depend only on the
-/// member set and the application graph, not on the context index).
-struct RcRealization {
-  std::vector<std::vector<TaskId>> members;  ///< one per context
-  std::vector<ContextBoundary> bounds;       ///< one per context
-  std::vector<std::int32_t> clbs;            ///< CLBs occupied, per context
-};
-
-/// Double-buffered memo of per-RC realizations for the incremental hot path.
-/// `begin_build(dirty, touched_tasks)` opens a candidate build: RCs listed
-/// dirty (or absent from the committed entries) are recomputed into a
-/// staging slot, the rest are served from the committed entries. The
-/// optional touched-task journal lets a recomputation reuse the CLB sum of
-/// any context whose membership is unchanged and contains no touched task
-/// (implementations can only change for journaled tasks). `commit()` adopts
-/// the staged entries after the candidate is accepted; `discard()` is O(1).
-/// Staged storage is recycled between builds, so steady-state builds
-/// allocate nothing.
-class SearchGraphCache {
- public:
-  void begin_build(std::span<const ResourceId> dirty,
-                   std::span<const TaskId> touched_tasks = {});
-  /// Realization of `rc` valid for `sol` (cached or freshly computed).
-  const RcRealization& realize(const TaskGraph& tg, const Solution& sol,
-                               ResourceId rc);
-  /// Committed realization of `rc` (state of the last commit), or nullptr.
-  /// May be stale for an RC whose context count dropped to zero — callers
-  /// use it only to tear down state the RC no longer contributes.
-  [[nodiscard]] const RcRealization* committed_entry(ResourceId rc) const;
-  void commit();
-  void discard();
-  /// Drop all entries for `rc` (a removed resource; ids are never reused).
-  void erase(ResourceId rc);
-  void clear();
-
-  [[nodiscard]] std::int64_t hits() const { return hits_; }
-  [[nodiscard]] std::int64_t misses() const { return misses_; }
-  /// Boundaries copied from a content-matched committed context vs computed
-  /// from scratch during recomputations.
-  [[nodiscard]] std::int64_t bounds_reused() const { return bounds_reused_; }
-  [[nodiscard]] std::int64_t bounds_computed() const {
-    return bounds_computed_;
-  }
-  /// Context CLB sums copied from a membership-matched, impl-untouched
-  /// committed context vs summed from scratch.
-  [[nodiscard]] std::int64_t clbs_reused() const { return clbs_reused_; }
-  [[nodiscard]] std::int64_t clbs_computed() const { return clbs_computed_; }
-
- private:
-  [[nodiscard]] bool is_dirty(ResourceId rc) const;
-  /// Grow the flat slots to cover `rc` (ids are dense and never reused, so
-  /// a vector indexed by ResourceId replaces a tree map on the hot path).
-  void ensure_slot(ResourceId rc);
-
-  std::vector<RcRealization> committed_;
-  std::vector<std::uint8_t> committed_present_;  ///< flat-slot occupancy
-  std::vector<RcRealization> staged_;
-  std::vector<ResourceId> dirty_;
-  std::vector<TaskId> touched_tasks_;
-  std::vector<ResourceId> staged_live_;  ///< staged keys filled this build
-  std::int64_t hits_ = 0;
-  std::int64_t misses_ = 0;
-  std::int64_t bounds_reused_ = 0;
-  std::int64_t bounds_computed_ = 0;
-  std::int64_t clbs_reused_ = 0;
-  std::int64_t clbs_computed_ = 0;
-};
 
 /// Execution time of task `t` on its assigned resource — the single
 /// definition shared by the builder and the incremental evaluator (their
@@ -194,11 +124,10 @@ class SearchGraphCache {
                                              const Architecture& arch,
                                              const Solution& sol);
 
-/// Same, building into `sg` with storage reuse (the hot-path variant: after
-/// warm-up no allocation is needed). When `cache` is non-null it must be
-/// inside a begin_build() window; per-RC realizations are served from it.
+/// Same, building into `sg` with storage reuse. This is the reference
+/// realization: context boundaries and CLB sums are derived from the task
+/// graph, never read from the Solution's maintained mirrors.
 void build_search_graph_into(SearchGraph& sg, const TaskGraph& tg,
-                             const Architecture& arch, const Solution& sol,
-                             SearchGraphCache* cache = nullptr);
+                             const Architecture& arch, const Solution& sol);
 
 }  // namespace rdse

@@ -77,30 +77,60 @@ class Solution {
 
   /// Number of contexts currently allocated on an RC.
   [[nodiscard]] std::size_t context_count(ResourceId rc) const {
-    return rc < rc_contexts_.size() ? rc_contexts_[rc].size() : 0;
+    return rc < rcs_.size() ? rcs_[rc].ends.size() : 0;
   }
   /// Members of one context (unordered — locally partial order).
   [[nodiscard]] std::span<const TaskId> context_tasks(
       ResourceId rc, std::size_t ctx) const {
-    RDSE_REQUIRE(rc < rc_contexts_.size() && ctx < rc_contexts_[rc].size(),
+    RDSE_REQUIRE(rc < rcs_.size() && ctx < rcs_[rc].ends.size(),
                  "context_tasks: no such context");
-    return rc_contexts_[rc][ctx];
+    const RcContexts& s = rcs_[rc];
+    return {s.members.data() + s.begin(ctx), s.ends[ctx] - s.begin(ctx)};
   }
   /// CLBs occupied by a context under the current implementation choices.
-  /// Served from the per-context sum mirror when it is warm; a cold slot
-  /// falls back to the O(members) walk and warms the mirror as it goes.
+  /// Served from the per-context sum mirror when the context is warm; a
+  /// cold one is warmed first (see warm_context).
   [[nodiscard]] std::int32_t context_clbs(const TaskGraph& tg, ResourceId rc,
-                                          std::size_t ctx) const;
-  /// The mirrored CLB sum for a context, or -1 when the slot is cold (a
-  /// mutator ran without its `clbs` hint). Never walks the members — this
-  /// is the evaluator-facing read on the realization hot path.
+                                          std::size_t ctx) const {
+    const std::int32_t cached = context_clbs_cached(rc, ctx);
+    if (cached >= 0) return cached;
+    warm_context(tg, rc, ctx);
+    return rcs_[rc].clbs[ctx];
+  }
+  /// The mirrored CLB sum for a context, or -1 when the context is cold (a
+  /// mutator ran without the task graph). Never walks the members.
   [[nodiscard]] std::int32_t context_clbs_cached(ResourceId rc,
                                                  std::size_t ctx) const {
-    if (rc < rc_ctx_clbs_.size() && ctx < rc_ctx_clbs_[rc].size()) {
-      return rc_ctx_clbs_[rc][ctx];
+    if (rc < rcs_.size() && ctx < rcs_[rc].clbs.size()) {
+      return rcs_[rc].clbs[ctx];
     }
     return -1;
   }
+
+  /// In-context application-edge counts of an RC task: how many of its
+  /// immediate predecessors / successors share its context. A member with
+  /// no in-context predecessor is an *initial* of its context, one with no
+  /// in-context successor a *terminal* (§3.3). Maintained as deltas by the
+  /// mutators; meaningful only while the task's context is warm.
+  struct ContextLinks {
+    std::int32_t preds = 0;
+    std::int32_t succs = 0;
+  };
+  [[nodiscard]] const ContextLinks& context_links(TaskId task) const {
+    RDSE_DCHECK(task < links_.size(), "context_links: task id out of range");
+    return links_[task];
+  }
+  /// Re-derive a cold context's CLB sum and its members' link counts from
+  /// the task graph (a no-op for a warm context). Mirror state only, hence
+  /// const — like context_clbs, which calls it.
+  void warm_context(const TaskGraph& tg, ResourceId rc, std::size_t ctx) const;
+  /// Append the initials (`terminals` false) or terminals (`terminals`
+  /// true) of a warm context to `out`, in member order, read off the link
+  /// counts — what context_boundary() (search_graph.hpp) derives from the
+  /// task graph, without walking a single edge.
+  void append_boundary(ResourceId rc, std::size_t ctx, bool terminals,
+                       std::vector<TaskId>& out) const;
+
   /// Tasks placed on an ASIC (unordered).
   [[nodiscard]] std::span<const TaskId> asic_tasks(ResourceId asic) const;
 
@@ -108,22 +138,24 @@ class Solution {
   [[nodiscard]] std::size_t tasks_on(ResourceId id) const;
 
   // ---- mutators ----------------------------------------------------------
+  //
+  // The RC mutators take an optional task graph. With it they keep the
+  // touched context warm: its CLB sum and its members' link counts are
+  // updated as deltas. Without it (hand-built scenarios, tests) the context
+  // goes cold and is re-derived on its next warm_context/context_clbs.
 
   /// Detach a task from wherever it is (no-op if unassigned). Empties are
   /// collapsed: a context left without tasks is destroyed, as in §4.2/§4.3.
-  void remove_task(TaskId task);
+  void remove_task(TaskId task, const TaskGraph* tg = nullptr);
 
   /// Insert an unassigned task into a processor's total order at `position`
   /// (clamped to [0, size]).
   void insert_on_processor(TaskId task, ResourceId processor,
                            std::size_t position);
 
-  /// Insert an unassigned task into an existing context. Pass the chosen
-  /// implementation's CLB count as `clbs` to keep the per-context sum
-  /// mirror warm; omitting it (or passing -1) invalidates the context's
-  /// cached sum, which `context_clbs` then recomputes on demand.
+  /// Insert an unassigned task at the end of an existing context's members.
   void insert_in_context(TaskId task, ResourceId rc, std::size_t ctx,
-                         std::uint32_t impl, std::int32_t clbs = -1);
+                         std::uint32_t impl, const TaskGraph* tg = nullptr);
 
   /// Insert an unassigned task on an ASIC.
   void insert_on_asic(TaskId task, ResourceId asic, std::uint32_t impl);
@@ -136,9 +168,8 @@ class Solution {
   /// Move a processor task to a new position within the same order.
   void reposition(TaskId task, std::size_t new_position);
 
-  /// Change the hardware implementation of an RC/ASIC task. `clbs` is the
-  /// new implementation's CLB count (same protocol as insert_in_context).
-  void set_impl(TaskId task, std::uint32_t impl, std::int32_t clbs = -1);
+  /// Change the hardware implementation of an RC/ASIC task.
+  void set_impl(TaskId task, std::uint32_t impl, const TaskGraph* tg = nullptr);
 
   /// Swap two contexts in the RC's execution order.
   void swap_contexts(ResourceId rc, std::size_t a, std::size_t b);
@@ -163,9 +194,37 @@ class Solution {
   [[nodiscard]] std::span<const TaskId> touched_tasks() const {
     return touched_tasks_;
   }
+
+  /// One run of an RC's contexts rewritten since clear_touched(): the old
+  /// contexts [old_pos, old_pos + old_len) became the current contexts
+  /// [new_pos, new_pos + new_len). Every context outside the edits of its RC
+  /// is unchanged — same members, implementations and CLB sum — and keeps
+  /// its relative order, so an evaluator holding per-context state for the
+  /// old list only revisits the edited runs and their two neighbours. Runs
+  /// of one RC never touch (touching runs merge), and are sorted by
+  /// position.
+  struct ContextEdit {
+    ResourceId rc = kInvalidResource;
+    std::uint32_t old_pos = 0;
+    std::uint32_t old_len = 0;
+    std::uint32_t new_pos = 0;
+    std::uint32_t new_len = 0;
+    /// Summed / largest CLB sum of the replaced old contexts (old_max is -1
+    /// when old_len is 0). old_clbs is -1 when one of them was cold, and
+    /// neither figure is then usable.
+    std::int32_t old_clbs = 0;
+    std::int32_t old_max = -1;
+    /// False while only implementations changed: members (and therefore
+    /// context boundaries) are as before, only CLB sums moved.
+    bool members_changed = false;
+  };
+  [[nodiscard]] std::span<const ContextEdit> context_edits() const {
+    return edits_;
+  }
   void clear_touched() {
     touched_.clear();
     touched_tasks_.clear();
+    edits_.clear();
   }
 
   /// Semantic equality (placements and mirrors; the journal is ignored —
@@ -173,9 +232,55 @@ class Solution {
   /// resource id was once used).
   [[nodiscard]] bool operator==(const Solution& other) const;
 
+  // Copies keep their storage: assigning into a solution (the annealer's
+  // per-move candidate copy) reserves every task list to the task count
+  // once, so steady-state copies and mutations never allocate.
+  Solution(const Solution&) = default;
+  Solution(Solution&&) noexcept = default;
+  Solution& operator=(const Solution& other);
+  Solution& operator=(Solution&&) noexcept = default;
+  ~Solution() = default;
+
  private:
+  /// One RC's ordered context list, flattened: the members of all contexts
+  /// grouped by context, plus each context's end offset, so the per-move
+  /// copy is a few flat vectors and spawning/collapsing a context never
+  /// allocates.
+  struct RcContexts {
+    std::vector<TaskId> members;
+    std::vector<std::uint32_t> ends;  ///< one past each context's members
+    /// Per-context CLB sums, parallel to `ends`; -1 marks a cold context.
+    /// A cache over the implementation choices: mutable (context_clbs warms
+    /// it) and excluded from operator==.
+    mutable std::vector<std::int32_t> clbs;
+
+    [[nodiscard]] std::uint32_t begin(std::size_t ctx) const {
+      return ctx == 0 ? 0 : ends[ctx - 1];
+    }
+    [[nodiscard]] bool operator==(const RcContexts& o) const {
+      return members == o.members && ends == o.ends;
+    }
+  };
+
   void touch(ResourceId id);
   void touch_task(TaskId id);
+  /// Journal index of the first run of `rc` ending after `ctx` (or
+  /// where one would go); `shift` is the new-minus-old index offset the
+  /// runs before it introduced.
+  [[nodiscard]] std::size_t edit_locate(ResourceId rc, std::uint32_t ctx,
+                                        std::int64_t& shift) const;
+  /// Journal a rewrite of current context `ctx` of `rc` (before the
+  /// mutation, so the old CLB sum is still in the mirror).
+  void edit_modify(ResourceId rc, std::size_t ctx, bool members_changed);
+  /// Journal the destruction of current context `ctx` (already journaled
+  /// as modified) / the creation of a context at `ctx`.
+  void edit_erase(ResourceId rc, std::size_t ctx);
+  void edit_insert(ResourceId rc, std::size_t ctx);
+  /// Merge touching runs of `rc` around journal index `i`.
+  void edit_merge(std::size_t i);
+  /// Add (+1) or retract (-1) `task`'s application edges to the members of
+  /// its context in the link counts.
+  void update_links(const TaskGraph& tg, TaskId task, int sign);
 
   std::vector<Placement> placement_;
   // The mirrors are flat slots indexed by the dense, never-reused resource
@@ -186,21 +291,16 @@ class Solution {
   /// processor id -> total order
   std::vector<std::vector<TaskId>> proc_order_;
   /// rc id -> ordered context list (members unordered within a context)
-  std::vector<std::vector<std::vector<TaskId>>> rc_contexts_;
-  /// rc id -> per-context CLB sums, structurally parallel to rc_contexts_
-  /// (every spawn/collapse/swap updates both). -1 marks a cold slot. The
-  /// mirror is a cache over the implementation choices, so it is mutable
-  /// (context_clbs warms it), excluded from operator== and maintained as
-  /// deltas by mutators that receive the `clbs` hint.
-  mutable std::vector<std::vector<std::int32_t>> rc_ctx_clbs_;
-  /// task id -> CLBs of the task's current RC implementation (-1 unknown);
-  /// lets remove_task/set_impl turn the context sum into a true delta.
-  mutable std::vector<std::int32_t> task_clb_;
+  std::vector<RcContexts> rcs_;
+  /// task id -> in-context link counts (mirror state like the CLB sums).
+  mutable std::vector<ContextLinks> links_;
   /// asic id -> members
   std::vector<std::vector<TaskId>> asic_tasks_;
-  /// Resources / tasks modified since clear_touched() (deduplicated, tiny).
+  /// Resources / tasks / context runs modified since clear_touched()
+  /// (deduplicated, tiny).
   std::vector<ResourceId> touched_;
   std::vector<TaskId> touched_tasks_;
+  std::vector<ContextEdit> edits_;
 };
 
 }  // namespace rdse

@@ -13,16 +13,25 @@
 ///    (common prefix/suffix of the old vs. new per-resource edge chain)
 ///    touches only the differing window, so a local reorder costs O(window),
 ///    not O(chain);
-///  - per-RC context boundaries and CLB sums are memoized across moves
-///    (SearchGraphCache) and recomputed only for touched RCs;
+///  - reconfigurable circuits are realized context by context: the
+///    candidate's context-edit journal (Solution::context_edits) names the
+///    runs of contexts the move rewrote, and only the Ehw segments around
+///    those runs are rebuilt — changed contexts' initials/terminals from
+///    the Solution's maintained link counts, the unchanged neighbours'
+///    read back from the old segments — and diffed against the old
+///    window. Releases of the first context and the context accounting
+///    (n_contexts, clbs_loaded, max_context_clbs, init/dynamic
+///    reconfiguration) are updated from the runs' deltas, never re-summed
+///    over an RC's other contexts;
 ///  - only the affected region of G' is re-relaxed (DeltaRelaxer), seeded
 ///    with exactly the nodes whose local inputs changed;
 ///  - a rejected candidate is rolled back from an undo log instead of
-///    rebuilding; an accepted one commits by swapping buffers.
+///    rebuilding; an accepted one commits in O(1).
 ///
 /// All scratch storage is pooled, so steady-state proposals allocate
-/// nothing. Results are bit-identical to Evaluator::evaluate
-/// (property-tested on random graphs x random move sequences).
+/// nothing. Results are bit-identical to Evaluator::evaluate, which derives
+/// everything from the task graph (property-tested on random graphs and at
+/// the Fig. 3 device sizes x random move sequences).
 
 #include <optional>
 #include <span>
@@ -37,13 +46,19 @@ namespace rdse {
 /// Counters for benchmarks and tests.
 struct IncrementalEvalStats {
   DeltaRelaxStats relax;
-  std::int64_t builds = 0;       ///< candidate surgeries
-  std::int64_t cache_hits = 0;   ///< RC realizations served from the memo
-  std::int64_t cache_misses = 0;
-  std::int64_t bounds_reused = 0;    ///< boundaries copied (membership same)
-  std::int64_t bounds_computed = 0;  ///< boundaries recomputed from scratch
-  std::int64_t clbs_reused = 0;      ///< context CLB sums served from the memo
-  std::int64_t clbs_computed = 0;    ///< context CLB sums re-summed
+  std::int64_t builds = 0;  ///< candidate surgeries
+  /// Touched reconfigurable circuits realized (one per RC per candidate).
+  std::int64_t rc_probes = 0;
+  /// Per realized RC, its contexts split into those whose boundary was left
+  /// as committed (reused) and those whose initials/terminals were re-read
+  /// because an edited run of contexts needed them (computed);
+  /// bounds_computed / rc_probes is the contexts re-derived per RC probe.
+  std::int64_t bounds_reused = 0;
+  std::int64_t bounds_computed = 0;
+  /// The same contexts split by CLB sum: served by the Solution's mirror
+  /// (reused) or re-summed over the members of a cold context (computed).
+  std::int64_t clbs_reused = 0;
+  std::int64_t clbs_computed = 0;
   std::int64_t reconciles = 0;       ///< per-resource chain diffs performed
   /// Chain edges matched by the two-pointer prefix/suffix diff (left in
   /// place, seeding no relaxation) vs. torn down / inserted inside the
@@ -62,6 +77,9 @@ struct IncrementalEvalStats {
   std::int64_t profile_reconcile_ns = 0;  ///< phase 2: chain diffs + realize
   std::int64_t profile_context_ns = 0;    ///< phase 3: RC context accounting
   std::int64_t profile_relax_ns = 0;      ///< phase 4: delta relaxation
+  /// Undoing a candidate: the rollback of a cyclic probe inside
+  /// evaluate_candidate, and discard() of a staged one.
+  std::int64_t profile_rollback_ns = 0;
 };
 
 /// Stateful evaluator bound to one task graph; the architecture and solution
@@ -77,9 +95,12 @@ class IncrementalEvaluator {
 
   /// Evaluate a candidate derived from the committed state by one move.
   /// `touched_resources` / `touched_tasks` are the move's mutation journal
-  /// (Solution::touched_resources() / touched_tasks()). Returns std::nullopt
-  /// when the realized search graph is cyclic (the move is infeasible,
-  /// §4.3) — the committed state is already restored in that case.
+  /// (Solution::touched_resources() / touched_tasks()); the runs of RC
+  /// contexts it rewrote are read from cand_sol.context_edits(). Like the
+  /// touched lists, that journal must span every mutation since the
+  /// committed state. Returns std::nullopt when the realized search graph
+  /// is cyclic (the move is infeasible, §4.3) — the committed state is
+  /// already restored in that case.
   [[nodiscard]] std::optional<Metrics> evaluate_candidate(
       const Architecture& cand_arch, const Solution& cand_sol,
       std::span<const ResourceId> touched_resources,
@@ -118,6 +139,40 @@ class IncrementalEvaluator {
     kWeightOnly,  ///< same endpoints/kind, new weight: patch in place
   };
 
+  /// An RC's context accounting (also saved whole for rollback).
+  struct RcTotals {
+    std::int32_t contexts = 0;
+    std::int32_t clbs = 0;        ///< summed over the contexts
+    std::int32_t first_clbs = 0;  ///< context 0
+    std::int32_t max_clbs = 0;    ///< largest context
+    TimeNs tr = 0;                ///< reconfiguration time per CLB
+  };
+  /// Committed realization state of one reconfigurable circuit, in step
+  /// with the search graph: enough to splice an edited run of contexts
+  /// (Solution::ContextEdit) into the Ehw chain and the context accounting
+  /// without revisiting the RC's other contexts.
+  struct RcState : RcTotals {
+    /// Ehw edges per pair of consecutive contexts (contexts - 1 entries):
+    /// the chain list of the RC is these segments, in order.
+    std::vector<std::uint32_t> seg_len;
+    /// Initials of context 0 — the tasks released at the first load.
+    std::vector<TaskId> first_initials;
+  };
+  struct RcTotalsUndo {
+    ResourceId rc;
+    RcTotals totals;
+  };
+  /// One touched RC of the candidate: its resolved edit runs
+  /// (edits_[edits_begin, edits_end)) and context counts.
+  struct RcWork {
+    ResourceId rc;
+    std::uint32_t edits_begin;
+    std::uint32_t edits_end;
+    std::int32_t n_old;
+    std::int32_t n_new;
+    TimeNs tr;
+  };
+
   void stage_node_weight(NodeId v, TimeNs w);
   void stage_comm_weight(EdgeId e, TimeNs w);
   /// Re-weight a surviving sequentialization edge in place (undo-logged;
@@ -128,31 +183,41 @@ class IncrementalEvaluator {
   /// coalesced values are staged in one pass so a clear-then-reset to the
   /// committed value stages nothing and seeds no relaxation.
   void stage_release_pending(NodeId v, TimeNs r);
-  /// Replace resource `r`'s sequentialization chain via a two-pointer
-  /// diff: the common prefix and suffix of the old and new chains stay
-  /// untouched (and seed no relaxation); only the edges inside the
-  /// differing window are torn down and re-inserted. Cost is proportional
-  /// to the window, not the chain. `Desired` describes the target chain
-  /// (length, per-position equality against a live edge, materialization
-  /// for window inserts).
+  /// Replace the window [first, last) of resource `r`'s sequentialization
+  /// chain by `desired` via a two-pointer diff: the window's common prefix
+  /// and suffix with the desired edges stay untouched (and seed no
+  /// relaxation); only the edges in between are torn down and re-inserted.
+  /// `Desired` describes the target window (length, per-position equality
+  /// against a live edge, materialization for inserts).
   template <typename Desired>
-  void reconcile_chain(ResourceId r, const Desired& desired);
-  /// reconcile_chain against the materialized `desired_` vector (RC
-  /// context chains, resource teardowns).
-  void reconcile_seq_edges(ResourceId r);
+  void reconcile_chain(ResourceId r, const Desired& desired,
+                       std::size_t first, std::size_t last);
+  /// reconcile_chain of a window against the materialized `desired_`.
+  void reconcile_window(ResourceId r, std::size_t first, std::size_t last);
   /// reconcile_chain streaming the implied Esw chain straight from the
   /// processor's flat total-order array (weight 0 / kSwSeq throughout) —
   /// the hot m1/m2 case materializes nothing.
   void reconcile_processor_chain(ResourceId r, std::span<const TaskId> order);
+  /// Phase 2 for a touched RC: resolve the candidate's edit runs against
+  /// the committed state, splice each run's Ehw segments, and restage the
+  /// first-context releases when context 0 changed.
+  void reconcile_rc(ResourceId r, const Architecture& cand_arch,
+                    const Solution& cand_sol);
+  /// Phase 3 for a touched RC: context accounting from the runs' deltas.
+  void account_rc(const RcWork& w, const Solution& cand_sol);
+  /// CLB sum of a candidate context, warming it (and counting the re-sum)
+  /// when it is cold.
+  std::int32_t context_clbs(const Solution& sol, ResourceId rc,
+                            std::size_t ctx);
   /// The (possibly empty) edge-id chain of `r`, grown on demand — resource
   /// ids are dense and never reused, so a flat vector replaces a map on the
   /// hot path.
   [[nodiscard]] std::vector<EdgeId>& seq_list(ResourceId r);
+  [[nodiscard]] RcState& rc_state(ResourceId r);
   void rollback();
 
   const TaskGraph* tg_ = nullptr;
   SearchGraph sg_;  ///< committed realization, surgically edited per move
-  SearchGraphCache cache_;
   DeltaRelaxer relaxer_;
   /// Bus transfer time per application edge, memoized at reset: the data
   /// amount and the bus rate are move-invariant (no move operator edits the
@@ -164,6 +229,8 @@ class IncrementalEvaluator {
   /// in chain order (Esw: the processor's total order; Ehw: context by
   /// context). Chain order is what makes the two-pointer diff local.
   std::vector<std::vector<EdgeId>> seq_edges_;
+  /// Per-RC committed state, indexed by ResourceId (empty for other kinds).
+  std::vector<RcState> rc_;
 
   // ---- per-candidate scratch and undo log --------------------------------
   std::vector<NodeId> seeds_;
@@ -190,7 +257,7 @@ class IncrementalEvaluator {
   };
   std::vector<ReconcileUndo> reconcile_undo_;
   std::vector<DesiredEdge> desired_;  ///< reconciliation scratch
-  std::vector<EdgeId> splice_;        ///< chain-splice scratch
+  std::vector<EdgeId> splice_;        ///< rollback: re-added window ids
   struct EdgeUndo {
     EdgeId edge;
     TimeNs weight;
@@ -203,11 +270,39 @@ class IncrementalEvaluator {
   std::vector<NodeUndo> node_weight_undo_;
   std::vector<NodeUndo> release_undo_;
   std::vector<NodeUndo> release_pending_;  ///< coalesced release writes
+  std::vector<NodeUndo> release_sets_;     ///< new first-context releases
   std::vector<ResourceId> touched_snapshot_;
-  /// Resources removed by the staged move (m3): their cache and edge-list
-  /// entries are dropped on commit so footprint stays bounded over long
+  /// Resources removed by the staged move (m3): their chain lists and RC
+  /// state are dropped on commit so footprint stays bounded over long
   /// create/remove churn (resource ids are never reused).
   std::vector<ResourceId> dead_resources_;
+  // RC scratch: resolved edit runs, touched RCs, boundary extraction.
+  std::vector<Solution::ContextEdit> edits_;
+  std::vector<RcWork> rc_work_;
+  std::vector<std::uint32_t> new_seg_len_;
+  std::vector<TaskId> terminals_;
+  std::vector<TaskId> initials_;
+  std::vector<TaskId> right_initials_;
+  std::vector<TaskId> first_initials_;
+  // RC undo: saved totals, and splices of seg_len / first_initials whose
+  // displaced values sit in the *_saved_ pools.
+  std::vector<RcTotalsUndo> rc_undo_;
+  struct SegUndo {
+    ResourceId rc;
+    std::uint32_t pos;
+    std::uint32_t n_new;
+    std::uint32_t saved_begin;
+    std::uint32_t saved_end;
+  };
+  std::vector<SegUndo> seg_undo_;
+  std::vector<std::uint32_t> seg_saved_;
+  struct FirstUndo {
+    ResourceId rc;
+    std::uint32_t saved_begin;
+    std::uint32_t saved_end;
+  };
+  std::vector<FirstUndo> first_undo_;
+  std::vector<TaskId> first_saved_;
   struct ScalarSnapshot {
     TimeNs init_reconfig;
     TimeNs dyn_reconfig;
@@ -233,15 +328,22 @@ class IncrementalEvaluator {
 
   std::int64_t builds_ = 0;
   std::int64_t reconciles_ = 0;
+  std::int64_t rc_probes_ = 0;
+  std::int64_t bounds_reused_ = 0;
+  std::int64_t bounds_computed_ = 0;
+  std::int64_t clbs_reused_ = 0;
+  std::int64_t clbs_computed_ = 0;
   bool profile_ = false;
   std::int64_t prof_stage_ns_ = 0;
   std::int64_t prof_reconcile_ns_ = 0;
   std::int64_t prof_context_ns_ = 0;
   std::int64_t prof_relax_ns_ = 0;
+  std::int64_t prof_rollback_ns_ = 0;
   std::int64_t seq_kept_ = 0;
   std::int64_t seq_removed_ = 0;
   std::int64_t seq_added_ = 0;
   std::int64_t seq_reweighted_ = 0;
+  bool max_rescan_ = false;  ///< phase 3: a touched RC gave up the max
   bool pending_ = false;
 };
 

@@ -3,8 +3,12 @@
 /// \brief Leveled diagnostic logging to stderr.
 ///
 /// The library itself is silent at default level; examples and benches raise
-/// the level for progress reporting. Not thread-safe by design — all rdse
-/// experiments are single-threaded for reproducibility.
+/// the level for progress reporting. Safe to use from any thread: the
+/// `rdse serve` daemon logs from its worker and connection threads. The
+/// level gate is an atomic, so set_log_level may race with logging callers,
+/// and each message is written with a single stdio call on the
+/// (internally locked) stderr stream, so concurrent messages never
+/// interleave within a line — their relative order is unspecified.
 
 #include <sstream>
 #include <string>

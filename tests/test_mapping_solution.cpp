@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "mapping/search_graph.hpp"
 #include "mapping/solution.hpp"
 #include "mapping/validation.hpp"
+#include "model/generators.hpp"
 #include "model/motion_detection.hpp"
 
 namespace rdse {
@@ -161,6 +167,190 @@ TEST_F(SolutionFixture, EqualityAndCopy) {
   EXPECT_EQ(a, b);
   b.reposition(0, 2);
   EXPECT_NE(a, b);
+}
+
+// ---- maintained context state vs. from-scratch derivation ------------------
+
+std::int32_t scratch_clbs(const TaskGraph& tg, const Solution& sol,
+                          ResourceId rc, std::size_t ctx) {
+  std::int32_t sum = 0;
+  for (TaskId t : sol.context_tasks(rc, ctx)) {
+    sum += tg.task(t).hw.at(sol.placement(t).impl).clbs;
+  }
+  return sum;
+}
+
+/// Every warm context's CLB sum, link counts and boundary must equal what
+/// the task graph gives from scratch (a cold context maintains nothing).
+void expect_context_state_exact(const TaskGraph& tg, const Solution& sol,
+                                ResourceId rc, const std::string& where) {
+  for (std::size_t c = 0; c < sol.context_count(rc); ++c) {
+    const std::int32_t cached = sol.context_clbs_cached(rc, c);
+    if (cached < 0) continue;
+    ASSERT_EQ(cached, scratch_clbs(tg, sol, rc, c)) << where << ", ctx " << c;
+    for (TaskId t : sol.context_tasks(rc, c)) {
+      Solution::ContextLinks want;
+      for (EdgeId e : tg.digraph().in_edges(t)) {
+        const Placement& q = sol.placement(tg.digraph().edge(e).src);
+        want.preds += q.resource == rc && q.context == static_cast<int>(c);
+      }
+      for (EdgeId e : tg.digraph().out_edges(t)) {
+        const Placement& q = sol.placement(tg.digraph().edge(e).dst);
+        want.succs += q.resource == rc && q.context == static_cast<int>(c);
+      }
+      ASSERT_EQ(sol.context_links(t).preds, want.preds) << where << ", t" << t;
+      ASSERT_EQ(sol.context_links(t).succs, want.succs) << where << ", t" << t;
+    }
+    const ContextBoundary ref = context_boundary(tg, sol, rc, c);
+    std::vector<TaskId> initials;
+    std::vector<TaskId> terminals;
+    sol.append_boundary(rc, c, false, initials);
+    sol.append_boundary(rc, c, true, terminals);
+    ASSERT_EQ(initials, ref.initials) << where << ", ctx " << c;
+    ASSERT_EQ(terminals, ref.terminals) << where << ", ctx " << c;
+  }
+}
+
+/// The context-edit journal must lead from `before` (the solution at
+/// clear_touched) to `after`: sorted, non-touching runs whose net size
+/// change matches, old CLB figures that match `before`, and every context
+/// outside the runs unchanged.
+void expect_journal_maps(const TaskGraph& tg, const Solution& before,
+                         const Solution& after, ResourceId rc,
+                         const std::string& where) {
+  std::vector<Solution::ContextEdit> runs;
+  for (const Solution::ContextEdit& e : after.context_edits()) {
+    if (e.rc == rc) runs.push_back(e);
+  }
+  std::int64_t net = 0;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const Solution::ContextEdit& e = runs[i];
+    ASSERT_GT(e.old_len + e.new_len, 0u) << where;
+    ASSERT_LE(e.old_pos + e.old_len, before.context_count(rc)) << where;
+    ASSERT_LE(e.new_pos + e.new_len, after.context_count(rc)) << where;
+    if (i > 0) {
+      // Separated by at least one unchanged context, in both lists.
+      ASSERT_LT(runs[i - 1].new_pos + runs[i - 1].new_len, e.new_pos)
+          << where;
+      ASSERT_LT(runs[i - 1].old_pos + runs[i - 1].old_len, e.old_pos)
+          << where;
+    }
+    if (e.old_clbs >= 0) {
+      std::int32_t sum = 0;
+      std::int32_t max = -1;
+      for (std::uint32_t c = e.old_pos; c < e.old_pos + e.old_len; ++c) {
+        sum += scratch_clbs(tg, before, rc, c);
+        max = std::max(max, scratch_clbs(tg, before, rc, c));
+      }
+      ASSERT_EQ(e.old_clbs, sum) << where;
+      ASSERT_EQ(e.old_max, max) << where;
+    }
+    if (!e.members_changed) {
+      ASSERT_EQ(e.old_len, e.new_len) << where;
+      for (std::uint32_t k = 0; k < e.new_len; ++k) {
+        const auto a = before.context_tasks(rc, e.old_pos + k);
+        const auto b = after.context_tasks(rc, e.new_pos + k);
+        ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+            << where;
+      }
+    }
+    net += static_cast<std::int64_t>(e.new_len) - e.old_len;
+  }
+  ASSERT_EQ(static_cast<std::int64_t>(before.context_count(rc)) + net,
+            static_cast<std::int64_t>(after.context_count(rc)))
+      << where;
+  std::size_t run = 0;
+  std::int64_t shift = 0;
+  for (std::uint32_t c = 0; c < after.context_count(rc); ++c) {
+    while (run < runs.size() && runs[run].new_pos + runs[run].new_len <= c) {
+      shift += static_cast<std::int64_t>(runs[run].new_len) -
+               runs[run].old_len;
+      ++run;
+    }
+    if (run < runs.size() && c >= runs[run].new_pos) continue;
+    const auto old = static_cast<std::size_t>(c - shift);
+    const auto a = before.context_tasks(rc, old);
+    const auto b = after.context_tasks(rc, c);
+    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+        << where << ": context " << c << " outside the runs changed";
+    for (TaskId t : b) {
+      ASSERT_EQ(before.placement(t).impl, after.placement(t).impl) << where;
+    }
+  }
+}
+
+TEST(SolutionContextState, MaintainedStateMatchesScratchUnderChurn) {
+  // Random churn through every RC mutator — with and without the task
+  // graph, so cold contexts and their re-warming are exercised too — must
+  // keep the maintained link counts, boundaries and CLB sums equal to a
+  // from-scratch derivation after every single mutator, and the edit
+  // journal must describe each stretch of mutations exactly.
+  constexpr ResourceId kProc = 0;
+  constexpr ResourceId kRc = 1;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    AppGenParams params;
+    params.dag.node_count = 24;
+    params.dag.max_width = 4;
+    params.hw_capable_fraction = 0.9;
+    Rng gen(seed);
+    const Application app = random_application(params, gen);
+    const TaskGraph& tg = app.graph;
+    const Architecture arch =
+        make_cpu_fpga_architecture(400, from_us(10.0), 10'000'000);
+    Rng rng(seed * 7919);
+    Solution sol = Solution::random_partition(tg, arch, kProc, kRc, rng);
+    sol.clear_touched();
+    Solution before = sol;
+
+    for (int step = 0; step < 1'500; ++step) {
+      const std::string where =
+          "seed " + std::to_string(seed) + ", step " + std::to_string(step);
+      if (rng.bernoulli(0.1)) {
+        sol.clear_touched();
+        before = sol;
+      }
+      const TaskGraph* hint = rng.bernoulli(0.9) ? &tg : nullptr;
+      const auto t = static_cast<TaskId>(rng.index(tg.task_count()));
+      const Placement p = sol.placement(t);
+      const std::size_t n_ctx = sol.context_count(kRc);
+      const std::size_t op = rng.index(5);
+      if (op == 0 && p.context >= 0) {
+        const auto impl =
+            static_cast<std::uint32_t>(rng.index(tg.task(t).hw.size()));
+        sol.set_impl(t, impl, hint);
+      } else if (op == 1 && n_ctx >= 2) {
+        sol.swap_contexts(kRc, rng.index(n_ctx), rng.index(n_ctx));
+      } else if (op == 2 && n_ctx > 0) {
+        sol.warm_context(tg, kRc, rng.index(n_ctx));
+      } else {
+        // Move t: to the processor, into an existing context, or into a
+        // freshly spawned one.
+        sol.remove_task(t, hint);
+        expect_context_state_exact(tg, sol, kRc, where + " (remove)");
+        const std::size_t n = sol.context_count(kRc);
+        const std::size_t dest = rng.index(n + 2);
+        if (!tg.task(t).hw_capable() || dest == n + 1) {
+          sol.insert_on_processor(
+              t, kProc, rng.index(sol.processor_order(kProc).size() + 1));
+        } else {
+          std::size_t ctx = dest;
+          if (dest == n || rng.bernoulli(0.2)) {
+            ctx = sol.spawn_context_after(
+                kRc, n == 0 || rng.bernoulli(0.2) ? Solution::kFront
+                                                  : std::min(dest, n - 1));
+            expect_context_state_exact(tg, sol, kRc, where + " (spawn)");
+          }
+          const auto impl =
+              static_cast<std::uint32_t>(rng.index(tg.task(t).hw.size()));
+          sol.insert_in_context(t, kRc, ctx, impl, hint);
+        }
+      }
+      expect_context_state_exact(tg, sol, kRc, where);
+      sol.check_mirrors();
+      expect_journal_maps(tg, before, sol, kRc, where);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
 }
 
 class RandomPartition : public ::testing::TestWithParam<std::uint64_t> {};

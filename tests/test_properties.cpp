@@ -10,6 +10,7 @@
 #include "graph/dot.hpp"
 #include "mapping/validation.hpp"
 #include "model/generators.hpp"
+#include "model/motion_detection.hpp"
 #include "sched/timeline.hpp"
 
 namespace rdse {
@@ -322,6 +323,43 @@ TEST(IncrementalVsFullEval, ExplorerFlagMatchesDefaultRun) {
   EXPECT_EQ(fast.anneal.infeasible, slow.anneal.infeasible);
   EXPECT_EQ(fast.anneal.best_cost, slow.anneal.best_cost);
   EXPECT_TRUE(fast.best_solution == slow.best_solution);
+}
+
+TEST(IncrementalVsFullEval, BitIdenticalOnMotionDetectionAtFig3Sizes) {
+  // The Fig. 3 device sizes span ~10 contexts (100 CLBs) down to one
+  // (10 000 CLBs): the many-context end is where the context-granular
+  // realization splices runs of contexts instead of whole RCs. Default
+  // moves, architecture moves (m3/m4) and batched probes each run in
+  // lockstep with the full-evaluation reference.
+  const Application app = make_motion_detection_app();
+  struct Variant {
+    const char* name;
+    double p_zero;
+    int batch;
+  };
+  const Variant variants[] = {
+      {"default", 0.0, 1}, {"p_zero=0.05", 0.05, 1}, {"batch=8", 0.0, 8}};
+  for (const std::int32_t clbs : {100, 200, 400, 1000, 10'000}) {
+    const Architecture arch = make_cpu_fpga_architecture(
+        clbs, kMotionDetectionTrPerClb, kMotionDetectionBusRate);
+    for (const Variant& v : variants) {
+      const auto seed = static_cast<std::uint64_t>(clbs) * 31 + 7;
+      Rng init(seed);
+      const Solution initial =
+          Solution::random_partition(app.graph, arch, 0, 1, init);
+      MoveConfig mc;
+      mc.p_zero = v.p_zero;
+      DseProblem full(app.graph, arch, initial, mc, {}, false,
+                      /*full_eval=*/true, v.batch);
+      DseProblem inc(app.graph, arch, initial, mc, {}, false,
+                     /*full_eval=*/false, v.batch);
+      const int evaluated = drive_lockstep(full, inc, seed ^ 0x5EED, 1'500);
+      EXPECT_GT(evaluated, 100) << clbs << " CLBs, " << v.name;
+      if (::testing::Test::HasFailure()) {
+        FAIL() << clbs << " CLBs, " << v.name;
+      }
+    }
+  }
 }
 
 // ---- batched probes (best-of-K, then Metropolis) ---------------------------

@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "core/problem.hpp"
 #include "model/generators.hpp"
@@ -303,6 +307,111 @@ TEST(ClbDeltas, MirrorAndCountersStayExactUnderRollbackChurn) {
       FAIL() << "instance seed " << seed;
     }
   }
+}
+
+// ---- context-granular RC realization ---------------------------------------
+
+/// G' as a sorted multiset of (src, dst, weight, kind) — independent of
+/// edge ids and insertion order.
+std::vector<std::tuple<NodeId, NodeId, TimeNs, SearchEdgeKind>> edge_multiset(
+    const SearchGraph& sg) {
+  std::vector<std::tuple<NodeId, NodeId, TimeNs, SearchEdgeKind>> out;
+  for (EdgeId e = 0; e < sg.graph.edge_capacity(); ++e) {
+    if (!sg.graph.edge_alive(e)) continue;
+    out.emplace_back(sg.graph.edge(e).src, sg.graph.edge(e).dst,
+                     sg.graph.edge_weight(e), sg.edge_kind[e]);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(ContextRuns, HandMutatedCandidatesMatchFullEvaluation) {
+  // Candidates mutated straight through the Solution mutators — several
+  // per candidate, spawning, collapsing, swapping and re-implementing
+  // contexts, sometimes without the task graph (the cold contexts that
+  // leaves force the whole-RC fallback) — are staged, then committed or
+  // discarded at random. Every evaluation must equal the full evaluator's
+  // exactly — metrics, context accounting, and the realized G' itself
+  // (edge multiset and releases).
+  constexpr ResourceId kProc = 0;
+  constexpr ResourceId kRc = 1;
+  int evaluated = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const Application app = chained_app(16, seed * 3 + 1);
+    const TaskGraph& tg = app.graph;
+    const Architecture arch =
+        make_cpu_fpga_architecture(300, from_us(10.0), 10'000'000);
+    Rng init(seed);
+    Solution sol = Solution::random_partition(tg, arch, kProc, kRc, init);
+    IncrementalEvaluator inc(tg);
+    inc.reset(arch, sol);
+    const Evaluator ev(tg, arch);
+
+    Rng rng(seed * 101);
+    for (int step = 0; step < 300; ++step) {
+      const std::string where =
+          "seed " + std::to_string(seed) + ", step " + std::to_string(step);
+      Solution cand = sol;
+      cand.clear_touched();
+      const TaskGraph* hint = rng.bernoulli(0.8) ? &tg : nullptr;
+      for (std::size_t op = 1 + rng.index(4); op > 0; --op) {
+        const auto t = static_cast<TaskId>(rng.index(tg.task_count()));
+        const std::size_t n_ctx = cand.context_count(kRc);
+        const std::size_t kind = rng.index(4);
+        const auto draw_impl = [&] {
+          return static_cast<std::uint32_t>(rng.index(tg.task(t).hw.size()));
+        };
+        if (kind == 0 && cand.placement(t).context >= 0) {
+          cand.set_impl(t, draw_impl(), hint);
+        } else if (kind == 1 && n_ctx >= 2) {
+          const std::size_t a = rng.index(n_ctx - 1);
+          cand.swap_contexts(kRc, a, a + 1 + rng.index(n_ctx - 1 - a));
+        } else {
+          cand.remove_task(t, hint);
+          const std::size_t n = cand.context_count(kRc);
+          const std::size_t dest = rng.index(n + 2);
+          if (!tg.task(t).hw_capable() || dest > n) {
+            cand.insert_on_processor(
+                t, kProc, rng.index(cand.processor_order(kProc).size() + 1));
+          } else {
+            std::size_t ctx = dest;
+            if (dest == n) {
+              ctx = cand.spawn_context_after(
+                  kRc, n == 0 || rng.bernoulli(0.3) ? Solution::kFront
+                                                    : rng.index(n));
+            }
+            cand.insert_in_context(t, kRc, ctx, draw_impl(), hint);
+          }
+        }
+      }
+      const auto got = inc.evaluate_candidate(
+          arch, cand, cand.touched_resources(), cand.touched_tasks());
+      const auto want = ev.evaluate(cand);
+      ASSERT_EQ(got.has_value(), want.has_value()) << where;
+      if (!got.has_value()) continue;
+      ++evaluated;
+      EXPECT_EQ(got->makespan, want->makespan) << where;
+      EXPECT_EQ(got->init_reconfig, want->init_reconfig) << where;
+      EXPECT_EQ(got->dyn_reconfig, want->dyn_reconfig) << where;
+      EXPECT_EQ(got->comm_cross, want->comm_cross) << where;
+      EXPECT_EQ(got->n_contexts, want->n_contexts) << where;
+      EXPECT_EQ(got->clbs_loaded, want->clbs_loaded) << where;
+      EXPECT_EQ(got->max_context_clbs, want->max_context_clbs) << where;
+      EXPECT_EQ(got->hw_tasks, want->hw_tasks) << where;
+      const SearchGraph ref = build_search_graph(tg, arch, cand);
+      EXPECT_TRUE(edge_multiset(inc.search_graph()) == edge_multiset(ref))
+          << where;
+      EXPECT_EQ(inc.search_graph().release, ref.release) << where;
+      ASSERT_FALSE(::testing::Test::HasFailure()) << where;
+      if (rng.bernoulli(0.5)) {
+        inc.commit();
+        sol = cand;
+      } else {
+        inc.discard();
+      }
+    }
+  }
+  EXPECT_GT(evaluated, 500);
 }
 
 }  // namespace

@@ -144,6 +144,37 @@ TEST(RdseCli, HelpSucceeds) {
   }
 }
 
+TEST(RdseCli, SubcommandHelpPrintsItsSection) {
+  for (const char* command :
+       {"explore", "bench", "sweep", "report", "compare", "serve", "request"}) {
+    for (const char* flag : {"--help", "-h"}) {
+      const CliOutcome r = run_cli({command, flag});
+      EXPECT_EQ(r.status, 0) << command << " " << flag;
+      EXPECT_TRUE(r.err.empty()) << command << ": " << r.err;
+      EXPECT_NE(r.out.find("usage: rdse " + std::string(command)),
+                std::string::npos)
+          << command;
+      EXPECT_NE(r.out.find(std::string(command) + " options:"),
+                std::string::npos)
+          << command;
+      // Only that command's section, not the whole text.
+      EXPECT_EQ(r.out.find("commands:"), std::string::npos) << command;
+    }
+  }
+  // Common options accompany the commands that take them...
+  EXPECT_NE(run_cli({"explore", "--help"}).out.find("--model NAME"),
+            std::string::npos);
+  // ...and not the others; another command's section never leaks in.
+  const CliOutcome compare = run_cli({"compare", "--help"});
+  EXPECT_EQ(compare.out.find("common options:"), std::string::npos);
+  EXPECT_EQ(compare.out.find("serve options:"), std::string::npos);
+  EXPECT_NE(compare.out.find("--tolerance F"), std::string::npos);
+  // --help wins over other (even malformed) options.
+  const CliOutcome mixed = run_cli({"sweep", "--model", "--help"});
+  EXPECT_EQ(mixed.status, 0);
+  EXPECT_NE(mixed.out.find("sweep options:"), std::string::npos);
+}
+
 TEST(RdseCli, UnknownCommandFailsWithUsage) {
   const CliOutcome r = run_cli({"frobnicate"});
   EXPECT_EQ(r.status, 2);
