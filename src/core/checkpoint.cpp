@@ -349,26 +349,163 @@ JsonValue load_checkpoint(const std::string& path) {
   return *body;
 }
 
+// ------------------------------------------------------------ anneal chains
+
+namespace detail {
+
+/// One annealing chain: problem, engine, trace and the per-chain bookkeeping
+/// a checkpoint carries. The serial session runs one chain, the parallel
+/// session one per replica. The trace hook captures the chain's address, so
+/// a chain never moves: sessions own their chains through unique_ptr.
+struct AnnealChain {
+  AnnealChain() = default;
+  AnnealChain(const AnnealChain&) = delete;
+  AnnealChain& operator=(const AnnealChain&) = delete;
+
+  std::unique_ptr<DseProblem> problem;
+  std::unique_ptr<AnnealEngine> engine;
+  Trace trace;
+  Metrics initial_metrics{};
+  std::uint64_t seed = 0;
+  ScheduleKind schedule = ScheduleKind::kModifiedLam;
+  std::int64_t adoptions = 0;
+};
+
+}  // namespace detail
+
+namespace {
+
+using detail::AnnealChain;
+
+/// The one AnnealConfig builder, for fresh and resumed chains of both
+/// sessions.
+template <class Config>
+AnnealConfig anneal_config(const Config& config, AnnealChain& chain) {
+  AnnealConfig ac;
+  ac.seed = chain.seed;
+  ac.iterations = config.iterations;
+  ac.warmup_iterations = config.warmup_iterations;
+  ac.schedule = chain.schedule;
+  ac.freeze_after = config.freeze_after;
+  ac.cancel = config.cancel;
+  if (config.record_trace) {
+    const std::int64_t stride = std::max<std::int64_t>(config.trace_stride, 1);
+    ac.on_iteration = [&chain, stride](const IterationStat& s) {
+      if (s.iteration % stride != 0) return;
+      chain.trace.add({s.iteration, s.cost, s.best, s.temperature,
+                       chain.problem->current_metrics().n_contexts, s.accepted,
+                       s.warmup});
+    };
+  }
+  return ac;
+}
+
+template <class Config>
+std::unique_ptr<DseProblem> make_problem(const TaskGraph& tg,
+                                         Architecture arch, Solution initial,
+                                         const Config& config) {
+  return std::make_unique<DseProblem>(
+      tg, std::move(arch), std::move(initial), config.moves, config.cost,
+      config.adaptive_move_mix, config.full_eval, config.batch);
+}
+
+/// Fresh chain: the initial solution drawn from the seed's initial-partition
+/// stream, its problem and an engine at iteration 0. A parallel replica
+/// with exchange disabled is therefore a plain run at its stream seed.
+template <class Config>
+void start_chain(AnnealChain& chain, const Explorer& explorer,
+                 const Config& config) {
+  Rng init_rng(chain.seed ^ 0x5851F42D4C957F2DULL);
+  Solution initial = explorer.initial_solution(config.init, init_rng);
+  chain.problem = make_problem(explorer.task_graph(), explorer.architecture(),
+                               std::move(initial), config);
+  chain.initial_metrics = chain.problem->current_metrics();
+  chain.engine = std::make_unique<AnnealEngine>(*chain.problem,
+                                                anneal_config(config, chain));
+}
+
+/// Resumed chain: `prob` holds save_problem() output, `engine` the engine
+/// state.
+template <class Config>
+void resume_chain(AnnealChain& chain, const TaskGraph& tg,
+                  const JsonValue& prob, const JsonValue& engine,
+                  const Config& config) {
+  const JsonValue* mix = prob.find("move_mix");
+  // Resuming without the EWMAs would silently restart the move mix and
+  // break bit-identity with the uninterrupted run.
+  RDSE_REQUIRE((mix != nullptr) == config.adaptive_move_mix,
+               "checkpoint: move-mix state does not match adaptive_move_mix");
+  chain.problem = make_problem(
+      tg, architecture_from_json(prob.at("current_architecture")),
+      solution_from_text(tg, prob.at("current_solution").as_string()), config);
+  // Construction order matters: the engine constructor snapshots the
+  // problem's current state as "best"; the checkpointed best is restored
+  // afterwards, then the engine's counters/RNG/schedule overwrite the
+  // fresh-start values.
+  chain.engine = std::make_unique<AnnealEngine>(*chain.problem,
+                                                anneal_config(config, chain));
+  chain.engine->load_state(engine);
+  chain.problem->restore_best_state(
+      architecture_from_json(prob.at("best_architecture")),
+      solution_from_text(tg, prob.at("best_solution").as_string()));
+  chain.problem->set_move_stats(move_stats_from_json(prob.at("move_stats")));
+  if (mix != nullptr) chain.problem->move_mix()->load_state(*mix);
+}
+
+/// The problem half of a chain's state, read back by resume_chain().
+void save_problem(JsonValue& doc, const TaskGraph& tg,
+                  const DseProblem& problem) {
+  doc.set("current_architecture",
+          architecture_to_json(problem.current_architecture()));
+  doc.set("current_solution", solution_to_text(tg, problem.current_solution()));
+  doc.set("best_architecture",
+          architecture_to_json(problem.best_architecture()));
+  doc.set("best_solution", solution_to_text(tg, problem.best_solution()));
+  doc.set("move_stats", move_stats_to_json(problem.move_stats()));
+  if (problem.move_mix() != nullptr) {
+    JsonValue mix = JsonValue::object();
+    problem.move_mix()->save_state(mix);
+    doc.set("move_mix", std::move(mix));
+  }
+}
+
+/// The facade view of one chain (the caller stamps wall_seconds).
+RunResult chain_result(const AnnealChain& chain) {
+  RunResult result;
+  result.best_solution = chain.problem->best_solution();
+  result.best_architecture = chain.problem->best_architecture();
+  result.best_metrics = chain.problem->best_metrics();
+  result.initial_metrics = chain.initial_metrics;
+  result.anneal = chain.engine->result();
+  result.trace = chain.trace;
+  result.move_stats = chain.problem->move_stats();
+  return result;
+}
+
+/// Checks shared by fresh and resumed parallel sessions.
+void check_parallel_config(const ParallelExplorerConfig& config) {
+  RDSE_REQUIRE(config.replicas >= 1,
+               "parallel exploration: need at least one replica");
+  RDSE_REQUIRE(config.iterations >= 0 && config.warmup_iterations >= 0 &&
+                   config.exchange_interval >= 0,
+               "parallel exploration: negative iteration counts");
+}
+
+}  // namespace
+
 // -------------------------------------------------- CheckpointableExplorer
 
-CheckpointableExplorer::CheckpointableExplorer(const TaskGraph& tg,
-                                               Architecture arch,
+CheckpointableExplorer::CheckpointableExplorer(const Explorer& explorer,
                                                const ExplorerConfig& config)
-    : tg_(&tg), explorer_(tg, std::move(arch)), config_(config) {
-  config_.record_trace = false;
+    : tg_(&explorer.task_graph()),
+      config_(config),
+      chain_(std::make_unique<AnnealChain>()) {
+  // A token that fired while the run was queued stops it before the
+  // (potentially expensive) initial evaluation.
   throw_if_cancelled(config_.cancel);
-
-  // Same derivation as Explorer::run — segment-for-segment bit-identity
-  // starts at the initial solution.
-  Rng init_rng(config_.seed ^ 0x5851F42D4C957F2DULL);
-  Solution initial = explorer_.initial_solution(config_.init, init_rng);
-
-  problem_ = std::make_unique<DseProblem>(
-      tg, explorer_.architecture(), std::move(initial), config_.moves,
-      config_.cost, config_.adaptive_move_mix, config_.full_eval,
-      config_.batch);
-  initial_metrics_ = problem_->current_metrics();
-  engine_ = std::make_unique<AnnealEngine>(*problem_, anneal_config());
+  chain_->seed = config_.seed;
+  chain_->schedule = config_.schedule;
+  start_chain(*chain_, explorer, config_);
 }
 
 CheckpointableExplorer::CheckpointableExplorer(const TaskGraph& tg,
@@ -376,121 +513,64 @@ CheckpointableExplorer::CheckpointableExplorer(const TaskGraph& tg,
                                                const JsonValue& state,
                                                const CancelToken* cancel)
     : tg_(&tg),
-      explorer_(tg, std::move(arch)),
-      config_(explorer_config_from_json(state.at("config"))) {
+      config_(explorer_config_from_json(state.at("config"))),
+      chain_(std::make_unique<AnnealChain>()) {
+  (void)Explorer(tg, std::move(arch));  // the fresh session's input checks
   config_.cancel = cancel;
-  initial_metrics_ = metrics_from_json(state.at("initial_metrics"));
-
-  const JsonValue& prob = state.at("problem");
-  problem_ = std::make_unique<DseProblem>(
-      tg, architecture_from_json(prob.at("current_architecture")),
-      solution_from_text(tg, prob.at("current_solution").as_string()),
-      config_.moves, config_.cost, config_.adaptive_move_mix,
-      config_.full_eval, config_.batch);
-
-  // Construction order matters: the engine constructor snapshots the
-  // problem's current state as "best"; the checkpointed best is restored
-  // afterwards, then the engine's counters/RNG/schedule overwrite the
-  // fresh-start values.
-  engine_ = std::make_unique<AnnealEngine>(*problem_, anneal_config());
-  engine_->load_state(state.at("engine"));
-  problem_->restore_best_state(
-      architecture_from_json(prob.at("best_architecture")),
-      solution_from_text(tg, prob.at("best_solution").as_string()));
-  problem_->set_move_stats(move_stats_from_json(prob.at("move_stats")));
-  if (const JsonValue* mix = prob.find("move_mix")) {
-    RDSE_REQUIRE(problem_->move_mix() != nullptr,
-                 "checkpoint: move-mix state without adaptive_move_mix");
-    problem_->move_mix()->load_state(*mix);
-  }
+  chain_->seed = config_.seed;
+  chain_->schedule = config_.schedule;
+  chain_->initial_metrics = metrics_from_json(state.at("initial_metrics"));
+  resume_chain(*chain_, tg, state.at("problem"), state.at("engine"), config_);
 }
 
-AnnealConfig CheckpointableExplorer::anneal_config() const {
-  AnnealConfig ac;
-  ac.seed = config_.seed;
-  ac.iterations = config_.iterations;
-  ac.warmup_iterations = config_.warmup_iterations;
-  ac.schedule = config_.schedule;
-  ac.freeze_after = config_.freeze_after;
-  ac.cancel = config_.cancel;
-  return ac;
-}
+CheckpointableExplorer::CheckpointableExplorer(
+    CheckpointableExplorer&&) noexcept = default;
+CheckpointableExplorer& CheckpointableExplorer::operator=(
+    CheckpointableExplorer&&) noexcept = default;
+CheckpointableExplorer::~CheckpointableExplorer() = default;
 
 std::int64_t CheckpointableExplorer::step(std::int64_t max_iterations) {
-  return engine_->run(max_iterations);
+  return chain_->engine->run(max_iterations);
 }
 
-bool CheckpointableExplorer::finished() const { return engine_->finished(); }
+bool CheckpointableExplorer::finished() const {
+  return chain_->engine->finished();
+}
 
 RunResult CheckpointableExplorer::result() const {
-  RunResult result;
-  result.initial_metrics = initial_metrics_;
-  result.anneal = engine_->result();
-  result.best_solution = problem_->best_solution();
-  result.best_architecture = problem_->best_architecture();
-  result.best_metrics = problem_->best_metrics();
-  result.move_stats = problem_->move_stats();
-  return result;
+  return chain_result(*chain_);
 }
 
 JsonValue CheckpointableExplorer::save_state() const {
   JsonValue body = JsonValue::object();
   body.set("config", explorer_config_to_json(config_));
-  body.set("initial_metrics", metrics_to_json(initial_metrics_));
-
+  body.set("initial_metrics", metrics_to_json(chain_->initial_metrics));
   JsonValue prob = JsonValue::object();
-  prob.set("current_architecture",
-           architecture_to_json(problem_->current_architecture()));
-  prob.set("current_solution",
-           solution_to_text(*tg_, problem_->current_solution()));
-  prob.set("best_architecture",
-           architecture_to_json(problem_->best_architecture()));
-  prob.set("best_solution", solution_to_text(*tg_, problem_->best_solution()));
-  prob.set("move_stats", move_stats_to_json(problem_->move_stats()));
-  if (problem_->move_mix() != nullptr) {
-    JsonValue mix = JsonValue::object();
-    problem_->move_mix()->save_state(mix);
-    prob.set("move_mix", std::move(mix));
-  }
+  save_problem(prob, *tg_, *chain_->problem);
   body.set("problem", std::move(prob));
-  body.set("engine", engine_->save_state());
+  body.set("engine", chain_->engine->save_state());
   return body;
 }
 
 // ------------------------------------------ CheckpointableParallelExplorer
 
 CheckpointableParallelExplorer::CheckpointableParallelExplorer(
-    const TaskGraph& tg, Architecture arch,
-    const ParallelExplorerConfig& config)
-    : tg_(&tg), explorer_(tg, std::move(arch)), config_(config) {
-  RDSE_REQUIRE(config_.replicas >= 1,
-               "CheckpointableParallelExplorer: need at least one replica");
-  RDSE_REQUIRE(config_.iterations >= 0 && config_.warmup_iterations >= 0 &&
-                   config_.exchange_interval >= 0,
-               "CheckpointableParallelExplorer: negative iteration counts");
-  config_.record_trace = false;
+    const Explorer& explorer, const ParallelExplorerConfig& config)
+    : tg_(&explorer.task_graph()), config_(config) {
+  check_parallel_config(config_);
   throw_if_cancelled(config_.cancel);
 
   const int n = config_.replicas;
   reps_.reserve(static_cast<std::size_t>(n));
   for (int r = 0; r < n; ++r) {
-    Replica& rep = reps_.emplace_back();
+    AnnealChain& rep = *reps_.emplace_back(std::make_unique<AnnealChain>());
     rep.seed = ParallelExplorer::replica_seed(config_.seed, r);
     rep.schedule =
         config_.replica_schedules.empty()
             ? config_.schedule
             : config_.replica_schedules[static_cast<std::size_t>(r) %
                                         config_.replica_schedules.size()];
-    Rng init_rng(rep.seed ^ 0x5851F42D4C957F2DULL);
-    Solution initial = explorer_.initial_solution(config_.init, init_rng);
-    rep.problem = std::make_unique<DseProblem>(
-        tg, explorer_.architecture(), std::move(initial), config_.moves,
-        config_.cost, config_.adaptive_move_mix, config_.full_eval,
-        config_.batch);
-    rep.initial_metrics = rep.problem->current_metrics();
-    rep.engine =
-        std::make_unique<AnnealEngine>(*rep.problem,
-                                       replica_anneal_config(rep));
+    start_chain(rep, explorer, config_);
   }
   make_pool(config_.threads);
 }
@@ -499,8 +579,9 @@ CheckpointableParallelExplorer::CheckpointableParallelExplorer(
     const TaskGraph& tg, Architecture arch, const JsonValue& state,
     unsigned threads, const CancelToken* cancel)
     : tg_(&tg),
-      explorer_(tg, std::move(arch)),
       config_(parallel_explorer_config_from_json(state.at("config"))) {
+  (void)Explorer(tg, std::move(arch));  // the fresh session's input checks
+  check_parallel_config(config_);
   config_.cancel = cancel;
   config_.threads = threads;
   started_ = state.at("started").as_bool();
@@ -512,30 +593,13 @@ CheckpointableParallelExplorer::CheckpointableParallelExplorer(
                    static_cast<std::size_t>(config_.replicas),
                "checkpoint: replica count mismatch");
   reps_.reserve(replicas.size());
-  for (std::size_t r = 0; r < replicas.size(); ++r) {
-    const JsonValue& doc = replicas.items()[r];
-    Replica& rep = reps_.emplace_back();
+  for (const JsonValue& doc : replicas.items()) {
+    AnnealChain& rep = *reps_.emplace_back(std::make_unique<AnnealChain>());
     rep.seed = u64_from_hex(doc.at("seed").as_string());
     rep.schedule = schedule_kind_from_name(doc.at("schedule").as_string());
     rep.adoptions = doc.at("adoptions").as_int();
     rep.initial_metrics = metrics_from_json(doc.at("initial_metrics"));
-    rep.problem = std::make_unique<DseProblem>(
-        tg, architecture_from_json(doc.at("current_architecture")),
-        solution_from_text(tg, doc.at("current_solution").as_string()),
-        config_.moves, config_.cost, config_.adaptive_move_mix,
-        config_.full_eval, config_.batch);
-    rep.engine = std::make_unique<AnnealEngine>(*rep.problem,
-                                                replica_anneal_config(rep));
-    rep.engine->load_state(doc.at("engine"));
-    rep.problem->restore_best_state(
-        architecture_from_json(doc.at("best_architecture")),
-        solution_from_text(tg, doc.at("best_solution").as_string()));
-    rep.problem->set_move_stats(move_stats_from_json(doc.at("move_stats")));
-    if (const JsonValue* mix = doc.find("move_mix")) {
-      RDSE_REQUIRE(rep.problem->move_mix() != nullptr,
-                   "checkpoint: move-mix state without adaptive_move_mix");
-      rep.problem->move_mix()->load_state(*mix);
-    }
+    resume_chain(rep, tg, doc, doc.at("engine"), config_);
   }
   make_pool(threads);
 }
@@ -555,21 +619,9 @@ void CheckpointableParallelExplorer::make_pool(unsigned threads) {
   pool_ = std::make_unique<ThreadPool>(threads);
 }
 
-AnnealConfig CheckpointableParallelExplorer::replica_anneal_config(
-    const Replica& rep) const {
-  AnnealConfig ac;
-  ac.seed = rep.seed;
-  ac.iterations = config_.iterations;
-  ac.warmup_iterations = config_.warmup_iterations;
-  ac.schedule = rep.schedule;
-  ac.freeze_after = config_.freeze_after;
-  ac.cancel = config_.cancel;
-  return ac;
-}
-
 bool CheckpointableParallelExplorer::any_running() const {
-  return std::any_of(reps_.begin(), reps_.end(), [](const Replica& rep) {
-    return !rep.engine->finished();
+  return std::any_of(reps_.begin(), reps_.end(), [](const auto& rep) {
+    return !rep->engine->finished();
   });
 }
 
@@ -583,13 +635,13 @@ bool CheckpointableParallelExplorer::step() {
       config_.exchange_interval > 0
           ? config_.exchange_interval
           : std::max<std::int64_t>(config_.iterations, 1);
-  // Segment 0 covers warm-up plus the first cooling chunk, exactly as in
-  // ParallelExplorer::run, so every barrier lands on a shared cooling-
-  // iteration boundary.
+  // Segment 0 covers warm-up plus the first cooling chunk so that every
+  // barrier afterwards lands on a cooling-iteration boundary shared by all
+  // replicas.
   const std::int64_t budget =
       started_ ? chunk : config_.warmup_iterations + chunk;
   pool_->parallel_for_index(reps_.size(), [this, budget](std::size_t i) {
-    (void)reps_[i].engine->run(budget);
+    (void)reps_[i]->engine->run(budget);
   });
   started_ = true;
   if (config_.replicas > 1 && config_.exchange_interval > 0 &&
@@ -600,15 +652,18 @@ bool CheckpointableParallelExplorer::step() {
 }
 
 void CheckpointableParallelExplorer::exchange() {
-  // Verbatim mirror of ParallelExplorer::run's barrier exchange: serial,
-  // replica-ordered, computed from snapshotted states.
+  // Serial, replica-ordered exchange on snapshotted states: the result
+  // cannot depend on worker scheduling. Trailing replicas adopt the
+  // leader's best; the leader may adopt from its ring neighbour. Only those
+  // two replicas can donate, so only their states are deep-copied (adoption
+  // replaces *current* states, never a donor's snapshot).
   const int n = config_.replicas;
   ++exchange_rounds_;
   std::vector<double> best_cost(reps_.size());
   std::vector<double> current_cost(reps_.size());
   for (std::size_t r = 0; r < reps_.size(); ++r) {
-    best_cost[r] = reps_[r].engine->best_cost();
-    current_cost[r] = reps_[r].engine->current_cost();
+    best_cost[r] = reps_[r]->engine->best_cost();
+    current_cost[r] = reps_[r]->engine->current_cost();
   }
   int leader = 0;
   for (int r = 1; r < n; ++r) {
@@ -623,13 +678,13 @@ void CheckpointableParallelExplorer::exchange() {
     Solution sol;
   };
   const Donor leader_donor{
-      reps_[static_cast<std::size_t>(leader)].problem->best_architecture(),
-      reps_[static_cast<std::size_t>(leader)].problem->best_solution()};
+      reps_[static_cast<std::size_t>(leader)]->problem->best_architecture(),
+      reps_[static_cast<std::size_t>(leader)]->problem->best_solution()};
   const Donor ring_donor{
-      reps_[static_cast<std::size_t>(ring)].problem->best_architecture(),
-      reps_[static_cast<std::size_t>(ring)].problem->best_solution()};
+      reps_[static_cast<std::size_t>(ring)]->problem->best_architecture(),
+      reps_[static_cast<std::size_t>(ring)]->problem->best_solution()};
   for (int r = 0; r < n; ++r) {
-    Replica& rep = reps_[static_cast<std::size_t>(r)];
+    AnnealChain& rep = *reps_[static_cast<std::size_t>(r)];
     if (rep.engine->finished()) continue;
     const int donor_idx = r == leader ? ring : leader;
     const Donor& donor = donor_idx == leader ? leader_donor : ring_donor;
@@ -648,27 +703,21 @@ ParallelRunResult CheckpointableParallelExplorer::result() const {
   out.exchange_rounds = exchange_rounds_;
   out.adoptions = adoptions_;
 
+  // Winner: lowest best cost, ties to the lowest replica index.
   const int n = config_.replicas;
   int best_replica = 0;
   for (int r = 1; r < n; ++r) {
-    if (reps_[static_cast<std::size_t>(r)].engine->best_cost() <
-        reps_[static_cast<std::size_t>(best_replica)].engine->best_cost()) {
+    if (reps_[static_cast<std::size_t>(r)]->engine->best_cost() <
+        reps_[static_cast<std::size_t>(best_replica)]->engine->best_cost()) {
       best_replica = r;
     }
   }
   out.best_replica = best_replica;
-
-  const Replica& winner = reps_[static_cast<std::size_t>(best_replica)];
-  out.best.best_solution = winner.problem->best_solution();
-  out.best.best_architecture = winner.problem->best_architecture();
-  out.best.best_metrics = winner.problem->best_metrics();
-  out.best.initial_metrics = winner.initial_metrics;
-  out.best.anneal = winner.engine->result();
-  out.best.move_stats = winner.problem->move_stats();
+  out.best = chain_result(*reps_[static_cast<std::size_t>(best_replica)]);
 
   out.replicas.reserve(reps_.size());
   for (int r = 0; r < n; ++r) {
-    const Replica& rep = reps_[static_cast<std::size_t>(r)];
+    const AnnealChain& rep = *reps_[static_cast<std::size_t>(r)];
     ReplicaOutcome outcome;
     outcome.replica = r;
     outcome.seed = rep.seed;
@@ -677,6 +726,7 @@ ParallelRunResult CheckpointableParallelExplorer::result() const {
     outcome.best_metrics = rep.problem->best_metrics();
     outcome.best_cost = rep.engine->best_cost();
     outcome.adoptions = rep.adoptions;
+    outcome.trace = rep.trace;
     out.replicas.push_back(std::move(outcome));
   }
   return out;
@@ -690,27 +740,14 @@ JsonValue CheckpointableParallelExplorer::save_state() const {
   body.set("adoptions", adoptions_);
 
   JsonValue replicas = JsonValue::array();
-  for (const Replica& rep : reps_) {
+  for (const auto& rep : reps_) {
     JsonValue doc = JsonValue::object();
-    doc.set("seed", u64_to_hex(rep.seed));
-    doc.set("schedule", to_string(rep.schedule));
-    doc.set("adoptions", rep.adoptions);
-    doc.set("initial_metrics", metrics_to_json(rep.initial_metrics));
-    doc.set("current_architecture",
-            architecture_to_json(rep.problem->current_architecture()));
-    doc.set("current_solution",
-            solution_to_text(*tg_, rep.problem->current_solution()));
-    doc.set("best_architecture",
-            architecture_to_json(rep.problem->best_architecture()));
-    doc.set("best_solution",
-            solution_to_text(*tg_, rep.problem->best_solution()));
-    doc.set("move_stats", move_stats_to_json(rep.problem->move_stats()));
-    if (rep.problem->move_mix() != nullptr) {
-      JsonValue mix = JsonValue::object();
-      rep.problem->move_mix()->save_state(mix);
-      doc.set("move_mix", std::move(mix));
-    }
-    doc.set("engine", rep.engine->save_state());
+    doc.set("seed", u64_to_hex(rep->seed));
+    doc.set("schedule", to_string(rep->schedule));
+    doc.set("adoptions", rep->adoptions);
+    doc.set("initial_metrics", metrics_to_json(rep->initial_metrics));
+    save_problem(doc, *tg_, *rep->problem);
+    doc.set("engine", rep->engine->save_state());
     replicas.push_back(std::move(doc));
   }
   body.set("replicas", std::move(replicas));

@@ -14,14 +14,14 @@
 /// rejects missing, truncated, foreign-format and checksum-mismatched
 /// files loudly (throws Error).
 ///
-/// The checkpointable sessions below mirror Explorer::run and
-/// ParallelExplorer::run step by step — same RNG derivations, same problem
-/// construction, same exchange logic — but execute in caller-controlled
-/// segments and serialize *every* mutable bit of the loop (RNG streams,
-/// schedule position, warm-up statistics, counters, move-mix EWMAs,
-/// current and best states, per-replica state). The contract, enforced by
-/// tests/test_core_checkpoint.cpp: a run resumed from a checkpoint taken
-/// at any point is bit-identical to the uninterrupted run, for any thread
+/// The sessions below *are* the exploration loop: Explorer::run and
+/// ParallelExplorer::run construct one, step it to completion and stamp the
+/// wall time. A session executes in caller-controlled segments and
+/// serializes *every* mutable bit of the loop (RNG streams, schedule
+/// position, warm-up statistics, counters, move-mix EWMAs, current and best
+/// states, per-replica state). The contract, enforced by
+/// tests/test_core_checkpoint.cpp: a run resumed from a checkpoint taken at
+/// any point is bit-identical to the uninterrupted run, for any thread
 /// count on the parallel path.
 
 #include <cstdint>
@@ -75,16 +75,23 @@ inline constexpr const char* kCheckpointFormat = "rdse.checkpoint.v1";
 /// silently resumed.
 [[nodiscard]] JsonValue load_checkpoint(const std::string& path);
 
-/// Explorer::run, resumable: the same initial-solution derivation, problem
-/// construction and annealing loop, executed in caller-controlled segments
-/// with full state capture between them.
+namespace detail {
+struct AnnealChain;  // one annealing chain; see checkpoint.cpp
+}  // namespace detail
+
+/// One exploration run in caller-controlled segments with full state capture
+/// between them; Explorer::run steps a fresh session to completion.
 class CheckpointableExplorer {
  public:
-  /// Start a fresh session (mirrors Explorer::run up to its first
-  /// iteration). Traces are never recorded — they are unbounded and are
-  /// not part of the checkpoint contract.
-  CheckpointableExplorer(const TaskGraph& tg, Architecture arch,
+  /// Start a fresh session on an explorer's (validated) task graph and
+  /// architecture. The task graph must outlive the session. A trace is
+  /// recorded when `config.record_trace` is set; traces are not part of the
+  /// checkpoint, so resumed sessions never record one.
+  CheckpointableExplorer(const Explorer& explorer,
                          const ExplorerConfig& config);
+  CheckpointableExplorer(const TaskGraph& tg, Architecture arch,
+                         const ExplorerConfig& config)
+      : CheckpointableExplorer(Explorer(tg, std::move(arch)), config) {}
 
   /// Resume from save_state() output. `arch` is the base architecture the
   /// fresh run was constructed with (the session's current/best
@@ -95,14 +102,18 @@ class CheckpointableExplorer {
                          const JsonValue& state,
                          const CancelToken* cancel = nullptr);
 
+  CheckpointableExplorer(CheckpointableExplorer&&) noexcept;
+  CheckpointableExplorer& operator=(CheckpointableExplorer&&) noexcept;
+  ~CheckpointableExplorer();
+
   /// Run at most `max_iterations` further iterations; returns the number
   /// executed (0 iff finished()).
   std::int64_t step(std::int64_t max_iterations);
 
   [[nodiscard]] bool finished() const;
 
-  /// Facade-compatible result (trace empty, wall_seconds 0 — timing is the
-  /// caller's concern across interrupted runs).
+  /// Facade-compatible result (wall_seconds 0 — timing is the caller's
+  /// concern across interrupted runs).
   [[nodiscard]] RunResult result() const;
 
   /// Complete resumable state as a JSON body for save_checkpoint().
@@ -111,24 +122,24 @@ class CheckpointableExplorer {
   [[nodiscard]] const ExplorerConfig& config() const { return config_; }
 
  private:
-  [[nodiscard]] AnnealConfig anneal_config() const;
-
   const TaskGraph* tg_;
-  Explorer explorer_;
   ExplorerConfig config_;
-  Metrics initial_metrics_{};
-  std::unique_ptr<DseProblem> problem_;
-  std::unique_ptr<AnnealEngine> engine_;
+  std::unique_ptr<detail::AnnealChain> chain_;
 };
 
-/// ParallelExplorer::run, resumable: segments run all replicas to the next
-/// exchange barrier and then exchange, so a checkpoint taken between
-/// step() calls is always at a barrier — exactly the points where the
-/// uninterrupted run's replicas are in lockstep.
+/// One replica-exchange run in segments: each step() runs all replicas to
+/// the next exchange barrier and then exchanges, so a checkpoint taken
+/// between step() calls is always at a barrier — exactly the points where
+/// the replicas are in lockstep. ParallelExplorer::run calls step() until it
+/// returns false.
 class CheckpointableParallelExplorer {
  public:
-  CheckpointableParallelExplorer(const TaskGraph& tg, Architecture arch,
+  /// Start a fresh session (see CheckpointableExplorer).
+  CheckpointableParallelExplorer(const Explorer& explorer,
                                  const ParallelExplorerConfig& config);
+  CheckpointableParallelExplorer(const TaskGraph& tg, Architecture arch,
+                                 const ParallelExplorerConfig& config)
+      : CheckpointableParallelExplorer(Explorer(tg, std::move(arch)), config) {}
 
   /// Resume from save_state() output. `threads` overrides the worker count
   /// (0 = min(replicas, hardware concurrency)); any value is bit-identical.
@@ -147,7 +158,7 @@ class CheckpointableParallelExplorer {
 
   [[nodiscard]] bool finished() const;
 
-  /// Facade-compatible result (traces empty, wall_seconds 0).
+  /// Facade-compatible result (wall_seconds 0).
   [[nodiscard]] ParallelRunResult result() const;
 
   /// Complete resumable state as a JSON body for save_checkpoint().
@@ -158,24 +169,13 @@ class CheckpointableParallelExplorer {
   }
 
  private:
-  struct Replica {
-    std::unique_ptr<DseProblem> problem;
-    std::unique_ptr<AnnealEngine> engine;
-    Metrics initial_metrics{};
-    std::uint64_t seed = 0;
-    ScheduleKind schedule = ScheduleKind::kModifiedLam;
-    std::int64_t adoptions = 0;
-  };
-
-  [[nodiscard]] AnnealConfig replica_anneal_config(const Replica& rep) const;
   [[nodiscard]] bool any_running() const;
   void exchange();
   void make_pool(unsigned threads);
 
   const TaskGraph* tg_;
-  Explorer explorer_;
   ParallelExplorerConfig config_;
-  std::vector<Replica> reps_;
+  std::vector<std::unique_ptr<detail::AnnealChain>> reps_;
   std::unique_ptr<ThreadPool> pool_;
   std::int64_t exchange_rounds_ = 0;
   std::int64_t adoptions_ = 0;

@@ -14,6 +14,11 @@
 /// for any thread count, including 1. DSE is treated as an embarrassingly
 /// parallel sweep, the way the task-mapping-evaluator and microthreaded
 /// many-core DSE literature scale it.
+///
+/// The replicas and the barrier exchange live in
+/// CheckpointableParallelExplorer (core/checkpoint.hpp): that session *is*
+/// the run, and ParallelExplorer::run only steps a fresh session until it
+/// returns false and stamps the wall time.
 
 #include <cstdint>
 #include <vector>
@@ -87,7 +92,8 @@ class ParallelExplorer {
   /// The architecture is copied; the task graph must outlive the explorer.
   ParallelExplorer(const TaskGraph& tg, Architecture arch);
 
-  /// Run one replica-exchange exploration.
+  /// Run one replica-exchange exploration (a CheckpointableParallelExplorer
+  /// stepped to completion).
   [[nodiscard]] ParallelRunResult run(
       const ParallelExplorerConfig& config) const;
 

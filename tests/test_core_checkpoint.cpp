@@ -282,6 +282,101 @@ TEST(CheckpointSerial, StepReportsProgressAndFinish) {
   EXPECT_EQ(session.step(64), 0);  // finished session: a no-op
 }
 
+TEST(CheckpointSerial, FreshSessionTraceMatchesExplorerRun) {
+  // Explorer::run is a fresh session stepped to completion, so a session
+  // that records a trace must record Explorer::run's trace row for row —
+  // through uneven segments and a move-assignment mid-run (the trace hook
+  // must not capture the session's own address).
+  const Application app = make_app(77, 16);
+  Architecture arch =
+      make_cpu_fpga_architecture(500, from_us(15.0), 20'000'000);
+  ExplorerConfig config;
+  config.seed = 19;
+  config.iterations = 900;
+  config.warmup_iterations = 120;
+  config.record_trace = true;
+  config.trace_stride = 7;
+  const RunResult ref = Explorer(app.graph, arch).run(config);
+  ASSERT_GT(ref.trace.size(), 100u);
+
+  CheckpointableExplorer session(app.graph, arch, config);
+  EXPECT_EQ(session.step(1), 1);
+  EXPECT_EQ(session.step(13), 13);
+  CheckpointableExplorer moved(app.graph, arch, config);
+  moved = std::move(session);
+  EXPECT_EQ(moved.step(400), 400);
+  while (!moved.finished()) (void)moved.step(1'000'000);
+
+  const RunResult got = moved.result();
+  expect_results_equal(got, ref);
+  ASSERT_EQ(got.trace.size(), ref.trace.size());
+  for (std::size_t i = 0; i < ref.trace.size(); ++i) {
+    const TraceRow& a = got.trace.at(i);
+    const TraceRow& b = ref.trace.at(i);
+    EXPECT_EQ(a.iteration, b.iteration) << i;
+    EXPECT_EQ(a.cost, b.cost) << i;
+    EXPECT_EQ(a.best, b.best) << i;
+    EXPECT_EQ(a.temperature, b.temperature) << i;
+    EXPECT_EQ(a.n_contexts, b.n_contexts) << i;
+    EXPECT_EQ(a.accepted, b.accepted) << i;
+    EXPECT_EQ(a.warmup, b.warmup) << i;
+  }
+}
+
+// ------------------------------------------------------- resume validation
+
+TEST(CheckpointResume, RejectsStatesAFreshRunWouldReject) {
+  const Application app = make_app(31, 12);
+  Architecture arch =
+      make_cpu_fpga_architecture(500, from_us(15.0), 20'000'000);
+  ParallelExplorerConfig config;
+  config.replicas = 2;
+  config.iterations = 200;
+  config.warmup_iterations = 50;
+  config.exchange_interval = 100;
+  const JsonValue good =
+      CheckpointableParallelExplorer(app.graph, arch, config).save_state();
+
+  // No replicas at all: result() would have nothing to pick a winner from.
+  JsonValue empty = good;
+  empty.find("config")->set("replicas", 0);
+  empty.set("replicas", JsonValue::array());
+  EXPECT_THROW(CheckpointableParallelExplorer(app.graph, arch, empty), Error);
+
+  JsonValue negative = good;
+  negative.find("config")->set("exchange_interval", -1);
+  EXPECT_THROW(CheckpointableParallelExplorer(app.graph, arch, negative),
+               Error);
+}
+
+TEST(CheckpointResume, RejectsAdaptiveMixWithoutItsState) {
+  // Resuming adaptive_move_mix with fresh EWMAs would silently break
+  // bit-identity with the uninterrupted run, so it must not load at all.
+  const Application app = make_app(32, 12);
+  Architecture arch =
+      make_cpu_fpga_architecture(500, from_us(15.0), 20'000'000);
+  ExplorerConfig config;
+  config.iterations = 200;
+  config.warmup_iterations = 50;
+  config.record_trace = false;
+  JsonValue serial =
+      CheckpointableExplorer(app.graph, arch, config).save_state();
+  ASSERT_EQ(serial.at("problem").find("move_mix"), nullptr);
+  serial.find("config")->set("adaptive_move_mix", true);
+  EXPECT_THROW(CheckpointableExplorer(app.graph, arch, serial), Error);
+
+  ParallelExplorerConfig pconfig;
+  pconfig.replicas = 2;
+  pconfig.iterations = 200;
+  pconfig.warmup_iterations = 50;
+  pconfig.adaptive_move_mix = true;
+  JsonValue parallel =
+      CheckpointableParallelExplorer(app.graph, arch, pconfig).save_state();
+  ASSERT_TRUE(parallel.find("replicas")->items()[1].erase("move_mix"));
+  EXPECT_THROW(CheckpointableParallelExplorer(app.graph, arch, parallel),
+               Error);
+}
+
 // ----------------------------------------------------- parallel bit-identity
 
 TEST(CheckpointParallel, ResumeIsBitIdenticalForAnyThreadCount) {

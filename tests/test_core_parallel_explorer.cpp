@@ -90,7 +90,20 @@ TEST_F(ParallelExplorerFixture, BitIdenticalAcrossThreadCounts) {
       EXPECT_EQ(got.replicas[r].anneal.accepted,
                 ref.replicas[r].anneal.accepted);
       EXPECT_EQ(got.replicas[r].adoptions, ref.replicas[r].adoptions);
-      EXPECT_EQ(got.replicas[r].trace.size(), ref.replicas[r].trace.size());
+      const Trace& got_trace = got.replicas[r].trace;
+      const Trace& ref_trace = ref.replicas[r].trace;
+      ASSERT_EQ(got_trace.size(), ref_trace.size());
+      for (std::size_t i = 0; i < ref_trace.size(); ++i) {
+        const TraceRow& a = got_trace.at(i);
+        const TraceRow& b = ref_trace.at(i);
+        EXPECT_EQ(a.iteration, b.iteration) << r << ':' << i;
+        EXPECT_EQ(a.cost, b.cost) << r << ':' << i;
+        EXPECT_EQ(a.best, b.best) << r << ':' << i;
+        EXPECT_EQ(a.temperature, b.temperature) << r << ':' << i;
+        EXPECT_EQ(a.n_contexts, b.n_contexts) << r << ':' << i;
+        EXPECT_EQ(a.accepted, b.accepted) << r << ':' << i;
+        EXPECT_EQ(a.warmup, b.warmup) << r << ':' << i;
+      }
     }
   }
 }
