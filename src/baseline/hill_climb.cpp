@@ -5,7 +5,6 @@ namespace rdse {
 MapperResult run_hill_climb(const TaskGraph& tg, const Architecture& arch,
                             std::int64_t iterations, std::uint64_t seed,
                             const CancelToken* cancel) {
-  Explorer explorer(tg, arch);
   ExplorerConfig config;
   config.seed = seed;
   config.iterations = iterations;
@@ -13,20 +12,8 @@ MapperResult run_hill_climb(const TaskGraph& tg, const Architecture& arch,
   config.schedule = ScheduleKind::kGreedy;
   config.record_trace = false;
   config.cancel = cancel;
-  const RunResult run = explorer.run(config);
-
-  MapperResult result;
-  result.best_solution = run.best_solution;
-  result.best_architecture = run.best_architecture;
-  result.best_metrics = run.best_metrics;
-  result.best_cost_ms = to_ms(run.best_metrics.makespan);
-  // Infeasible candidates were rejected before evaluation.
-  result.evaluations = run.anneal.accepted + run.anneal.rejected;
-  result.wall_seconds = run.wall_seconds;
-  result.counters.set("iterations_run", run.anneal.iterations_run);
-  result.counters.set("accepted", run.anneal.accepted);
-  result.counters.set("rejected", run.anneal.rejected);
-  result.counters.set("infeasible", run.anneal.infeasible);
+  const RunResult run = Explorer(tg, arch).run(config);
+  MapperResult result = mapper_result_from_run(run);
   result.counters.set("initial_makespan_ms",
                       to_ms(run.initial_metrics.makespan));
   return result;

@@ -40,28 +40,11 @@ class AnnealMapper final : public Mapper {
   const char* name() const override { return "anneal"; }
   MapperResult run(const TaskGraph& tg, const Architecture& arch,
                    const MapperConfig& config) const override {
-    const Explorer explorer(tg, arch);
     ExplorerConfig c;
-    c.seed = config.seed;
-    c.iterations = config.iterations;
-    c.warmup_iterations = config.warmup_iterations;
-    c.schedule = config.schedule;
-    c.batch = config.batch;
+    static_cast<MapperConfig&>(c) = config;
     c.record_trace = false;
-    c.cancel = config.cancel;
-    const RunResult run = explorer.run(c);
-
-    MapperResult result;
-    result.best_solution = run.best_solution;
-    result.best_architecture = run.best_architecture;
-    result.best_metrics = run.best_metrics;
-    result.best_cost_ms = to_ms(run.best_metrics.makespan);
-    result.evaluations = run.anneal.accepted + run.anneal.rejected;
-    result.wall_seconds = run.wall_seconds;
-    result.counters.set("iterations_run", run.anneal.iterations_run);
-    result.counters.set("accepted", run.anneal.accepted);
-    result.counters.set("rejected", run.anneal.rejected);
-    result.counters.set("infeasible", run.anneal.infeasible);
+    const RunResult run = Explorer(tg, arch).run(c);
+    MapperResult result = mapper_result_from_run(run);
     result.counters.set("best_iteration", run.anneal.best_iteration);
     result.counters.set("schedule", std::string(to_string(c.schedule)));
     return result;
@@ -255,6 +238,22 @@ std::unique_ptr<Mapper> make_mapper(const std::string& name) {
 
 bool mapper_is_deterministic(const std::string& name) {
   return make_mapper(name)->deterministic();
+}
+
+MapperResult mapper_result_from_run(const RunResult& run) {
+  MapperResult result;
+  result.best_solution = run.best_solution;
+  result.best_architecture = run.best_architecture;
+  result.best_metrics = run.best_metrics;
+  result.best_cost_ms = to_ms(run.best_metrics.makespan);
+  // Infeasible candidates were rejected before evaluation.
+  result.evaluations = run.anneal.accepted + run.anneal.rejected;
+  result.wall_seconds = run.wall_seconds;
+  result.counters.set("iterations_run", run.anneal.iterations_run);
+  result.counters.set("accepted", run.anneal.accepted);
+  result.counters.set("rejected", run.anneal.rejected);
+  result.counters.set("infeasible", run.anneal.infeasible);
+  return result;
 }
 
 RunAggregate aggregate_mapper_results(std::span<const MapperResult> results,

@@ -4,14 +4,14 @@
 /// one registry for every exploration strategy in the repo.
 ///
 /// A *mapper* maps the application onto the platform: it takes a task
-/// graph, an architecture and a generic budget/seed configuration and
-/// returns one MapperResult — best solution, metrics scored by the §4.4
-/// evaluator, evaluation count, wall time and a JSON bag of mapper-specific
-/// counters. The annealer, the GA, the deterministic [6] clustering flow,
-/// hill climbing, the plain list scheduler, random sampling, HEFT and PEFT
-/// all sit behind this interface, so `rdse bench --mappers ...`, the serve
-/// front door and the comparison harness treat them uniformly — exactly one
-/// way to run a mapper.
+/// graph, an architecture and a MapperConfig (the budget/seed base of the
+/// run configuration, core/explorer.hpp) and returns one MapperResult —
+/// best solution, metrics scored by the §4.4 evaluator, evaluation count,
+/// wall time and a JSON bag of mapper-specific counters. The annealer, the
+/// GA, the deterministic [6] clustering flow, hill climbing, the plain list
+/// scheduler, random sampling, HEFT and PEFT all sit behind this interface,
+/// so `rdse bench --mappers ...`, the serve front door and the comparison
+/// harness treat them uniformly — exactly one way to run a mapper.
 ///
 /// The registry mirrors src/model/registry: `known_mapper_names()` for
 /// messages/usage, `mapper_names()` for iteration, `make_mapper(name)` for
@@ -27,22 +27,6 @@
 #include "util/json.hpp"
 
 namespace rdse {
-
-/// Generic mapper configuration. `iterations` is the evaluation budget in
-/// each mapper's natural unit: annealing/hill-climb moves, random samples,
-/// GA fitness evaluations. Deterministic mappers (clustering, list
-/// scheduler, HEFT, PEFT) ignore every field.
-struct MapperConfig {
-  std::uint64_t seed = 1;
-  std::int64_t iterations = 20'000;
-  std::int64_t warmup_iterations = 1'200;  ///< annealer only
-  ScheduleKind schedule = ScheduleKind::kModifiedLam;  ///< annealer only
-  int batch = 1;  ///< annealer only: probes per step (best-of-K)
-  /// Optional cooperative-cancellation token; every mapper polls it at its
-  /// natural iteration granularity (moves, samples, generations) and
-  /// throws Cancelled when it fires. Null = never cancelled.
-  const CancelToken* cancel = nullptr;
-};
 
 /// The one result every mapper returns.
 struct MapperResult {
@@ -101,6 +85,12 @@ class Mapper {
 /// Build the mapper registered under `name`; throws Error (naming the known
 /// mappers) when the name is not registered.
 [[nodiscard]] std::unique_ptr<Mapper> make_mapper(const std::string& name);
+
+/// The common view of an annealing-engine run (the `anneal` and
+/// `hill_climb` mappers): best solution and metrics, evaluation count, wall
+/// time, and the counters iterations_run, accepted, rejected and infeasible,
+/// to which each mapper appends its own.
+[[nodiscard]] MapperResult mapper_result_from_run(const RunResult& run);
 
 /// Aggregate repeated mapper runs (same statistics as Explorer::aggregate).
 [[nodiscard]] RunAggregate aggregate_mapper_results(

@@ -202,6 +202,11 @@ ExplorerConfig base_config(const Options& opts, std::int64_t default_iters) {
   config.iterations = opts.get_int("iters", default_iters, "RDSE_ITERS");
   config.warmup_iterations = opts.get_int("warmup", 1'200);
   config.record_trace = false;
+  // Checked here, not by the engines: a dry run or `--runs 0` never reaches
+  // them, and GA clamps the budget instead of rejecting it.
+  RDSE_REQUIRE(config.iterations >= 0, "option --iters: negative count");
+  RDSE_REQUIRE(config.warmup_iterations >= 0,
+               "option --warmup: negative count");
   return config;
 }
 
@@ -455,10 +460,7 @@ int cmd_bench(const Options& opts, std::ostream& out) {
   const std::string csv = opts.get_string("mappers", "");
   spec.mappers = csv.empty() ? mapper_names() : parse_mapper_list(csv);
   RDSE_REQUIRE(!spec.mappers.empty(), "option --mappers: empty list");
-  spec.config.seed =
-      static_cast<std::uint64_t>(opts.get_int("seed", 1, "RDSE_SEED"));
-  spec.config.iterations = opts.get_int("iters", 20'000, "RDSE_ITERS");
-  spec.config.warmup_iterations = opts.get_int("warmup", 1'200);
+  spec.config = base_config(opts, 20'000);
   spec.config.schedule =
       parse_schedule(opts.get_string("schedule", "modified-lam"));
   spec.runs_per_mapper = runs;

@@ -253,50 +253,27 @@ ExplorerConfig explorer_config_from_json(const JsonValue& doc) {
 
 JsonValue parallel_explorer_config_to_json(
     const ParallelExplorerConfig& config) {
-  JsonValue doc = JsonValue::object();
-  doc.set("seed", u64_to_hex(config.seed));
+  JsonValue doc = explorer_config_to_json(config);
   doc.set("replicas", config.replicas);
-  doc.set("iterations", config.iterations);
-  doc.set("warmup_iterations", config.warmup_iterations);
   doc.set("exchange_interval", config.exchange_interval);
-  doc.set("schedule", to_string(config.schedule));
   JsonValue ladder = JsonValue::array();
   for (const ScheduleKind kind : config.replica_schedules) {
     ladder.push_back(to_string(kind));
   }
   doc.set("replica_schedules", std::move(ladder));
-  doc.set("init", init_kind_name(config.init));
-  doc.set("moves", move_config_to_json(config.moves));
-  doc.set("cost", cost_weights_to_json(config.cost));
-  doc.set("adaptive_move_mix", config.adaptive_move_mix);
-  doc.set("full_eval", config.full_eval);
-  doc.set("batch", config.batch);
-  doc.set("freeze_after", config.freeze_after);
   return doc;
 }
 
 ParallelExplorerConfig parallel_explorer_config_from_json(
     const JsonValue& doc) {
   ParallelExplorerConfig config;
-  config.seed = u64_from_hex(doc.at("seed").as_string());
+  static_cast<ExplorerConfig&>(config) = explorer_config_from_json(doc);
   config.replicas = static_cast<int>(doc.at("replicas").as_int());
-  config.iterations = doc.at("iterations").as_int();
-  config.warmup_iterations = doc.at("warmup_iterations").as_int();
   config.exchange_interval = doc.at("exchange_interval").as_int();
-  config.schedule = schedule_kind_from_name(doc.at("schedule").as_string());
-  config.replica_schedules.clear();
   for (const JsonValue& kind : doc.at("replica_schedules").items()) {
     config.replica_schedules.push_back(
         schedule_kind_from_name(kind.as_string()));
   }
-  config.init = init_kind_from_name(doc.at("init").as_string());
-  config.moves = move_config_from_json(doc.at("moves"));
-  config.cost = cost_weights_from_json(doc.at("cost"));
-  config.adaptive_move_mix = doc.at("adaptive_move_mix").as_bool();
-  config.full_eval = doc.at("full_eval").as_bool();
-  config.batch = static_cast<int>(doc.at("batch").as_int());
-  config.freeze_after = doc.at("freeze_after").as_int();
-  config.record_trace = false;
   return config;
 }
 
@@ -379,8 +356,7 @@ using detail::AnnealChain;
 
 /// The one AnnealConfig builder, for fresh and resumed chains of both
 /// sessions.
-template <class Config>
-AnnealConfig anneal_config(const Config& config, AnnealChain& chain) {
+AnnealConfig anneal_config(const ExplorerConfig& config, AnnealChain& chain) {
   AnnealConfig ac;
   ac.seed = chain.seed;
   ac.iterations = config.iterations;
@@ -400,10 +376,9 @@ AnnealConfig anneal_config(const Config& config, AnnealChain& chain) {
   return ac;
 }
 
-template <class Config>
 std::unique_ptr<DseProblem> make_problem(const TaskGraph& tg,
                                          Architecture arch, Solution initial,
-                                         const Config& config) {
+                                         const ExplorerConfig& config) {
   return std::make_unique<DseProblem>(
       tg, std::move(arch), std::move(initial), config.moves, config.cost,
       config.adaptive_move_mix, config.full_eval, config.batch);
@@ -412,9 +387,8 @@ std::unique_ptr<DseProblem> make_problem(const TaskGraph& tg,
 /// Fresh chain: the initial solution drawn from the seed's initial-partition
 /// stream, its problem and an engine at iteration 0. A parallel replica
 /// with exchange disabled is therefore a plain run at its stream seed.
-template <class Config>
 void start_chain(AnnealChain& chain, const Explorer& explorer,
-                 const Config& config) {
+                 const ExplorerConfig& config) {
   Rng init_rng(chain.seed ^ 0x5851F42D4C957F2DULL);
   Solution initial = explorer.initial_solution(config.init, init_rng);
   chain.problem = make_problem(explorer.task_graph(), explorer.architecture(),
@@ -426,10 +400,9 @@ void start_chain(AnnealChain& chain, const Explorer& explorer,
 
 /// Resumed chain: `prob` holds save_problem() output, `engine` the engine
 /// state.
-template <class Config>
 void resume_chain(AnnealChain& chain, const TaskGraph& tg,
                   const JsonValue& prob, const JsonValue& engine,
-                  const Config& config) {
+                  const ExplorerConfig& config) {
   const JsonValue* mix = prob.find("move_mix");
   // Resuming without the EWMAs would silently restart the move mix and
   // break bit-identity with the uninterrupted run.

@@ -54,9 +54,11 @@ inline constexpr const char* kCheckpointFormat = "rdse.checkpoint.v1";
 [[nodiscard]] JsonValue explorer_config_to_json(const ExplorerConfig& config);
 [[nodiscard]] ExplorerConfig explorer_config_from_json(const JsonValue& doc);
 
-/// Same for ParallelExplorerConfig. `threads` is a throughput knob with no
-/// effect on results and is deliberately not persisted — a run may be
-/// resumed under a different thread count.
+/// ParallelExplorerConfig: the ExplorerConfig block above plus `replicas`,
+/// `exchange_interval` and `replica_schedules`. `threads` is a throughput
+/// knob with no effect on results and is deliberately not persisted — a run
+/// may be resumed under a different thread count. Keys are read by name, so
+/// states written with another key order resume unchanged.
 [[nodiscard]] JsonValue parallel_explorer_config_to_json(
     const ParallelExplorerConfig& config);
 [[nodiscard]] ParallelExplorerConfig parallel_explorer_config_from_json(

@@ -4,6 +4,11 @@
 /// solution, infinite-temperature warm-up, adaptive cooling, tracing — and
 /// returns the best mapping with its metrics. This is the library's primary
 /// public entry point.
+///
+/// The run configuration is one hierarchy that declares each field once:
+/// MapperConfig (the knobs every mapper shares) ⊂ ExplorerConfig (one
+/// annealing run) ⊂ ParallelExplorerConfig (replica exchange,
+/// core/parallel_explorer.hpp).
 
 #include <cstdint>
 #include <span>
@@ -21,11 +26,32 @@ enum class InitKind : std::uint8_t {
   kAllSoftware,      ///< everything on the first processor
 };
 
-struct ExplorerConfig {
+/// The run configuration every exploration strategy shares: seed, budget,
+/// warm-up, cooling schedule, probes per step and cancellation. This is the
+/// generic configuration of the mapper portfolio (baseline/mapper.hpp):
+/// `iterations` is the evaluation budget in each mapper's natural unit
+/// (annealing/hill-climb moves, random samples, GA fitness evaluations);
+/// deterministic mappers (clustering, list scheduler, HEFT, PEFT) ignore
+/// every field.
+struct MapperConfig {
   std::uint64_t seed = 1;
   std::int64_t iterations = 20'000;        ///< cooling iterations
   std::int64_t warmup_iterations = 1'200;  ///< §5's infinite-T phase
-  ScheduleKind schedule = ScheduleKind::kModifiedLam;
+  ScheduleKind schedule = ScheduleKind::kModifiedLam;  ///< annealer only
+  /// Candidate moves probed per annealing step (best-of-K, then
+  /// Metropolis; annealer only). 1 is bit-identical to the classic
+  /// one-probe path.
+  int batch = 1;
+  /// Optional cooperative-cancellation token (deadline or explicit stop),
+  /// polled at iteration granularity (moves, samples, generations); a fired
+  /// token makes the run throw Cancelled. Null = never cancelled. A token
+  /// that never fires does not change results in any bit.
+  const CancelToken* cancel = nullptr;
+};
+
+/// One annealing run: the shared configuration plus the knobs that shape the
+/// §4 search itself (initial solution, move set, cost, tracing).
+struct ExplorerConfig : MapperConfig {
   InitKind init = InitKind::kRandomPartition;
   MoveConfig moves;
   CostWeights cost;
@@ -33,17 +59,9 @@ struct ExplorerConfig {
   /// A/B escape hatch: evaluate every candidate from scratch instead of
   /// through the incremental delta path (bit-identical, much slower).
   bool full_eval = false;
-  /// Candidate moves probed per annealing step (best-of-K, then
-  /// Metropolis). 1 is bit-identical to the classic one-probe path.
-  int batch = 1;
   std::int64_t freeze_after = 0;  ///< 0: fixed horizon as in the paper
   bool record_trace = true;
   std::int64_t trace_stride = 1;  ///< keep every k-th iteration
-  /// Optional cooperative-cancellation token (deadline or explicit stop),
-  /// polled at iteration granularity; a fired token makes run() throw
-  /// Cancelled. Null = never cancelled. A token that never fires does not
-  /// change results in any bit.
-  const CancelToken* cancel = nullptr;
 };
 
 /// Result of one exploration run.

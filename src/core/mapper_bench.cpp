@@ -3,6 +3,7 @@
 #include <chrono>
 #include <sstream>
 
+#include "core/report.hpp"
 #include "util/assert.hpp"
 #include "util/table.hpp"
 #include "util/time.hpp"
@@ -62,20 +63,11 @@ JsonValue mapper_matrix_entry_to_json(const MapperMatrixResult& matrix,
   doc.set("mean_evaluations", evals / static_cast<double>(entry.runs.size()));
   doc.set("counters", entry.runs.front().counters);
 
-  const RunAggregate& a = entry.aggregate;
   JsonValue point = JsonValue::object();
   point.set("label", matrix.label);
   point.set("x", matrix.x);
-  point.set("runs", static_cast<std::int64_t>(entry.runs.size()));
-  point.set("mean_makespan_ms", a.mean_makespan_ms);
-  point.set("stddev_makespan_ms", a.stddev_makespan_ms);
-  point.set("best_makespan_ms", a.best_makespan_ms);
-  point.set("worst_makespan_ms", a.worst_makespan_ms);
-  point.set("mean_init_reconfig_ms", a.mean_init_reconfig_ms);
-  point.set("mean_dyn_reconfig_ms", a.mean_dyn_reconfig_ms);
-  point.set("mean_contexts", a.mean_contexts);
-  point.set("mean_hw_tasks", a.mean_hw_tasks);
-  point.set("deadline_hit_rate", a.deadline_hit_rate);
+  aggregate_to_json(entry.aggregate, point);
+  point.erase("mean_wall_seconds");  // the artifact has no wall-clock fields
   JsonValue points = JsonValue::array();
   points.push_back(std::move(point));
   doc.set("points", std::move(points));

@@ -202,6 +202,40 @@ std::string plot_sweep(const SweepResult& sweep) {
                      PlotOptions{72, 18, sweep.axis_label, title, true});
 }
 
+void aggregate_to_json(const RunAggregate& a, JsonValue& doc) {
+  doc.set("runs", static_cast<std::int64_t>(a.runs));
+  doc.set("mean_makespan_ms", a.mean_makespan_ms);
+  doc.set("stddev_makespan_ms", a.stddev_makespan_ms);
+  doc.set("best_makespan_ms", a.best_makespan_ms);
+  doc.set("worst_makespan_ms", a.worst_makespan_ms);
+  doc.set("mean_init_reconfig_ms", a.mean_init_reconfig_ms);
+  doc.set("mean_dyn_reconfig_ms", a.mean_dyn_reconfig_ms);
+  doc.set("mean_contexts", a.mean_contexts);
+  doc.set("mean_hw_tasks", a.mean_hw_tasks);
+  doc.set("mean_wall_seconds", a.mean_wall_seconds);
+  doc.set("deadline_hit_rate", a.deadline_hit_rate);
+}
+
+RunAggregate aggregate_from_json(const JsonValue& doc) {
+  RunAggregate a;
+  a.runs = static_cast<int>(
+      std::clamp<std::int64_t>(doc.at("runs").as_int(), 0, 1'000'000'000));
+  a.mean_makespan_ms = doc.at("mean_makespan_ms").as_number();
+  a.stddev_makespan_ms = doc.at("stddev_makespan_ms").as_number();
+  a.best_makespan_ms = doc.at("best_makespan_ms").as_number();
+  a.worst_makespan_ms = doc.at("worst_makespan_ms").as_number();
+  a.mean_init_reconfig_ms = doc.at("mean_init_reconfig_ms").as_number();
+  a.mean_dyn_reconfig_ms = doc.at("mean_dyn_reconfig_ms").as_number();
+  a.mean_contexts = doc.at("mean_contexts").as_number();
+  a.mean_hw_tasks = doc.at("mean_hw_tasks").as_number();
+  if (const JsonValue* wall = doc.find("mean_wall_seconds");
+      wall != nullptr && wall->kind() == JsonValue::Kind::kNumber) {
+    a.mean_wall_seconds = wall->as_number();
+  }
+  a.deadline_hit_rate = doc.at("deadline_hit_rate").as_number();
+  return a;
+}
+
 JsonValue sweep_to_json(const SweepResult& sweep) {
   JsonValue doc = JsonValue::object();
   doc.set("schema", "rdse.sweep.v1");
@@ -212,21 +246,10 @@ JsonValue sweep_to_json(const SweepResult& sweep) {
   doc.set("wall_seconds", sweep.wall_seconds);
   JsonValue points = JsonValue::array();
   for (const SweepPointResult& p : sweep.points) {
-    const RunAggregate& a = p.aggregate;
     JsonValue point = JsonValue::object();
     point.set("label", p.label);
     point.set("x", p.x);
-    point.set("runs", static_cast<std::int64_t>(p.runs.size()));
-    point.set("mean_makespan_ms", a.mean_makespan_ms);
-    point.set("stddev_makespan_ms", a.stddev_makespan_ms);
-    point.set("best_makespan_ms", a.best_makespan_ms);
-    point.set("worst_makespan_ms", a.worst_makespan_ms);
-    point.set("mean_init_reconfig_ms", a.mean_init_reconfig_ms);
-    point.set("mean_dyn_reconfig_ms", a.mean_dyn_reconfig_ms);
-    point.set("mean_contexts", a.mean_contexts);
-    point.set("mean_hw_tasks", a.mean_hw_tasks);
-    point.set("mean_wall_seconds", a.mean_wall_seconds);
-    point.set("deadline_hit_rate", a.deadline_hit_rate);
+    aggregate_to_json(p.aggregate, point);
     points.push_back(std::move(point));
   }
   doc.set("points", std::move(points));
@@ -325,23 +348,7 @@ std::string render_sweep_artifact(const JsonValue& artifact) {
     SweepPointResult p;
     p.label = point.at("label").as_string();
     p.x = point.at("x").as_number();
-    p.aggregate.runs = static_cast<int>(
-        std::clamp<std::int64_t>(point.at("runs").as_int(), 0,
-                                 1'000'000'000));
-    p.aggregate.mean_makespan_ms = point.at("mean_makespan_ms").as_number();
-    p.aggregate.stddev_makespan_ms =
-        point.at("stddev_makespan_ms").as_number();
-    p.aggregate.best_makespan_ms = point.at("best_makespan_ms").as_number();
-    p.aggregate.worst_makespan_ms =
-        point.at("worst_makespan_ms").as_number();
-    p.aggregate.mean_init_reconfig_ms =
-        point.at("mean_init_reconfig_ms").as_number();
-    p.aggregate.mean_dyn_reconfig_ms =
-        point.at("mean_dyn_reconfig_ms").as_number();
-    p.aggregate.mean_contexts = point.at("mean_contexts").as_number();
-    p.aggregate.mean_hw_tasks = point.at("mean_hw_tasks").as_number();
-    p.aggregate.deadline_hit_rate =
-        point.at("deadline_hit_rate").as_number();
+    p.aggregate = aggregate_from_json(point);
     sweep.points.push_back(std::move(p));
   }
   std::string out = describe_sweep(sweep);

@@ -48,6 +48,16 @@ void print_parallel_report(std::ostream& os, const TaskGraph& tg,
 /// sweep has fewer than two aggregated points.
 [[nodiscard]] std::string plot_sweep(const SweepResult& sweep);
 
+/// Append the RunAggregate to a JSON object in the rdse.sweep.v1 point
+/// order: runs, mean/sd/best/worst makespan, the reconfiguration means,
+/// contexts, hw tasks, mean_wall_seconds, deadline_hit_rate. Payloads that
+/// carry no wall-clock fields erase `mean_wall_seconds` afterwards.
+void aggregate_to_json(const RunAggregate& a, JsonValue& doc);
+
+/// Read aggregate_to_json() output back (`mean_wall_seconds` is optional;
+/// `runs` is clamped to [0, 1e9]). Throws Error on a missing field.
+[[nodiscard]] RunAggregate aggregate_from_json(const JsonValue& doc);
+
 /// Machine-readable sweep artifact (schema "rdse.sweep.v1"): sweep
 /// metadata plus one object per point carrying the full RunAggregate. The
 /// caller may attach extra top-level fields (model name, dry_run, ...)

@@ -24,7 +24,6 @@
 namespace rdse {
 
 class Mapper;
-struct MapperConfig;
 struct MapperResult;
 
 /// One grid point of a sweep: a complete (architecture, exploration config)

@@ -35,21 +35,6 @@ JsonValue metrics_payload(const Metrics& m, TimeNs deadline) {
   return doc;
 }
 
-JsonValue aggregate_payload(const RunAggregate& a) {
-  JsonValue doc = JsonValue::object();
-  doc.set("runs", static_cast<std::int64_t>(a.runs));
-  doc.set("mean_makespan_ms", a.mean_makespan_ms);
-  doc.set("stddev_makespan_ms", a.stddev_makespan_ms);
-  doc.set("best_makespan_ms", a.best_makespan_ms);
-  doc.set("worst_makespan_ms", a.worst_makespan_ms);
-  doc.set("mean_init_reconfig_ms", a.mean_init_reconfig_ms);
-  doc.set("mean_dyn_reconfig_ms", a.mean_dyn_reconfig_ms);
-  doc.set("mean_contexts", a.mean_contexts);
-  doc.set("mean_hw_tasks", a.mean_hw_tasks);
-  doc.set("deadline_hit_rate", a.deadline_hit_rate);
-  return doc;
-}
-
 /// Strip the volatile (wall-clock, thread-count) fields from a sweep
 /// artifact so the payload is a pure function of the request.
 void strip_volatile_sweep_fields(JsonValue& doc) {
@@ -442,25 +427,20 @@ JsonValue ExplorationService::execute(const Request& request,
   config.seed = request.seed;
   config.iterations = request.iterations;
   config.warmup_iterations = request.warmup;
+  config.schedule = request.schedule;
+  config.batch = request.batch;
   config.record_trace = false;
   config.cancel = cancel;
 
   if (request.op == RequestOp::kExplore) {
     // Every strategy — the annealer included — runs through the mapper
     // registry, so the service has exactly one explore code path.
-    MapperConfig mc;
-    mc.seed = request.seed;
-    mc.iterations = request.iterations;
-    mc.warmup_iterations = request.warmup;
-    mc.schedule = request.schedule;
-    mc.batch = request.batch;
-    mc.cancel = cancel;
     const std::unique_ptr<Mapper> mapper = make_mapper(request.mapper);
     const Architecture arch = make_cpu_fpga_architecture(
         request.clbs, model.tr_per_clb, model.bus_bytes_per_second);
     const SweepEngine engine(config_.run_threads);
     const std::vector<MapperResult> results =
-        engine.run_mapper_many(*mapper, model.app.graph, arch, mc,
+        engine.run_mapper_many(*mapper, model.app.graph, arch, config,
                                request.runs);
     JsonValue doc = JsonValue::object();
     doc.set("model", model.app.name);
@@ -472,9 +452,11 @@ JsonValue ExplorationService::execute(const Request& request,
       doc.set("best", metrics_payload(results.front().best_metrics,
                                       model.app.deadline));
     } else {
-      doc.set("aggregate",
-              aggregate_payload(
-                  aggregate_mapper_results(results, model.app.deadline)));
+      JsonValue agg = JsonValue::object();
+      aggregate_to_json(aggregate_mapper_results(results, model.app.deadline),
+                        agg);
+      agg.erase("mean_wall_seconds");  // payloads are pure functions
+      doc.set("aggregate", std::move(agg));
     }
     return doc;
   }

@@ -5,7 +5,8 @@
 ///
 /// A CancelToken is owned by the request issuer (the serve front door, a
 /// CLI driver, a test) and threaded *by pointer* through the configuration
-/// structs (AnnealConfig, ExplorerConfig, MapperConfig, GaConfig). The
+/// structs (AnnealConfig, GaConfig, and MapperConfig — the base that
+/// ExplorerConfig and ParallelExplorerConfig inherit `cancel` from). The
 /// engines poll it between iterations — never mid-evaluation — and bail
 /// out by throwing Cancelled, which unwinds through the thread-pool job
 /// barrier to the caller. Throwing (instead of returning partial results)

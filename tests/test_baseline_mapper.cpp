@@ -168,6 +168,48 @@ TEST(MapperPortfolio, EveryMapperIsValidAndSeedDeterministic) {
   }
 }
 
+TEST(MapperPortfolio, AnnealMapperRunsTheExplorerOnItsConfig) {
+  // Every MapperConfig field away from its default: the anneal mapper is
+  // Explorer::run on the ExplorerConfig carrying the same values.
+  const Application app = make_motion_detection_app();
+  const Architecture arch = make_cpu_fpga_architecture(
+      1500, kMotionDetectionTrPerClb, kMotionDetectionBusRate);
+  const CancelToken never;  // polled, never fired
+  MapperConfig config;
+  config.seed = 31;
+  config.iterations = 1'500;
+  config.warmup_iterations = 250;
+  config.schedule = ScheduleKind::kLamDelosme;
+  config.batch = 3;
+  config.cancel = &never;
+
+  ExplorerConfig ec;
+  ec.seed = 31;
+  ec.iterations = 1'500;
+  ec.warmup_iterations = 250;
+  ec.schedule = ScheduleKind::kLamDelosme;
+  ec.batch = 3;
+  ec.record_trace = false;
+  const RunResult run = Explorer(app.graph, arch).run(ec);
+  const MapperResult got = make_mapper("anneal")->run(app.graph, arch, config);
+
+  EXPECT_TRUE(got.best_solution == run.best_solution);
+  EXPECT_EQ(got.best_metrics.makespan, run.best_metrics.makespan);
+  EXPECT_EQ(got.best_metrics.init_reconfig, run.best_metrics.init_reconfig);
+  EXPECT_EQ(got.best_metrics.dyn_reconfig, run.best_metrics.dyn_reconfig);
+  EXPECT_EQ(got.best_metrics.n_contexts, run.best_metrics.n_contexts);
+  EXPECT_EQ(got.best_metrics.hw_tasks, run.best_metrics.hw_tasks);
+  EXPECT_EQ(got.evaluations, run.anneal.accepted + run.anneal.rejected);
+  JsonValue counters = JsonValue::object();
+  counters.set("iterations_run", run.anneal.iterations_run);
+  counters.set("accepted", run.anneal.accepted);
+  counters.set("rejected", run.anneal.rejected);
+  counters.set("infeasible", run.anneal.infeasible);
+  counters.set("best_iteration", run.anneal.best_iteration);
+  counters.set("schedule", "lam-delosme");
+  EXPECT_EQ(got.counters.dump(), counters.dump());
+}
+
 TEST(MapperPortfolio, DeterministicMappersIgnoreTheSeedAndBudget) {
   const Application app = make_motion_detection_app();
   const Architecture arch = make_cpu_fpga_architecture(

@@ -147,6 +147,14 @@ TEST(CheckpointCodec, ParallelConfigRoundTripDropsThreads) {
   config.exchange_interval = 250;
   config.replica_schedules = {ScheduleKind::kModifiedLam,
                               ScheduleKind::kGreedy};
+  // The trajectory fields inherited from ExplorerConfig travel too.
+  config.init = InitKind::kAllSoftware;
+  config.moves.p_zero = 0.07;
+  config.cost.price_weight = 0.25;
+  config.adaptive_move_mix = true;
+  config.full_eval = true;
+  config.batch = 3;
+  config.freeze_after = 444;
   const ParallelExplorerConfig back = parallel_explorer_config_from_json(
       parallel_explorer_config_to_json(config));
   EXPECT_EQ(back.seed, config.seed);
@@ -154,6 +162,14 @@ TEST(CheckpointCodec, ParallelConfigRoundTripDropsThreads) {
   EXPECT_EQ(back.exchange_interval, config.exchange_interval);
   EXPECT_EQ(back.replica_schedules, config.replica_schedules);
   EXPECT_EQ(back.threads, 0u);
+  EXPECT_EQ(back.init, config.init);
+  EXPECT_EQ(back.moves.p_zero, config.moves.p_zero);
+  EXPECT_EQ(back.cost.price_weight, config.cost.price_weight);
+  EXPECT_EQ(back.adaptive_move_mix, config.adaptive_move_mix);
+  EXPECT_EQ(back.full_eval, config.full_eval);
+  EXPECT_EQ(back.batch, config.batch);
+  EXPECT_EQ(back.freeze_after, config.freeze_after);
+  EXPECT_FALSE(back.record_trace);
 }
 
 // ---------------------------------------------------------------- envelope
@@ -428,6 +444,64 @@ TEST(CheckpointParallel, ResumeIsBitIdenticalForAnyThreadCount) {
       expect_results_equal(got.best, ref.best);
     }
   }
+}
+
+TEST(CheckpointParallel, ResumesAConfigBlockInAnyKeyOrder) {
+  // Parallel states written before the config hierarchy carried the config
+  // keys in another order; they are read by name and resume unchanged.
+  const Application app = make_app(4712, 14);
+  Architecture arch =
+      make_cpu_fpga_architecture(600, from_us(15.0), 20'000'000);
+  ParallelExplorerConfig config;
+  config.seed = 8;
+  config.replicas = 2;
+  config.iterations = 600;
+  config.warmup_iterations = 100;
+  config.exchange_interval = 200;
+  config.replica_schedules = {ScheduleKind::kGreedy};
+
+  const ParallelRunResult ref = ParallelExplorer(app.graph, arch).run(config);
+  CheckpointableParallelExplorer session(app.graph, arch, config);
+  ASSERT_TRUE(session.step());
+  JsonValue state = JsonValue::parse(session.save_state().dump());
+
+  static constexpr const char* kOldKeyOrder[] = {
+      "seed",
+      "replicas",
+      "iterations",
+      "warmup_iterations",
+      "exchange_interval",
+      "schedule",
+      "replica_schedules",
+      "init",
+      "moves",
+      "cost",
+      "adaptive_move_mix",
+      "full_eval",
+      "batch",
+      "freeze_after",
+  };
+  const JsonValue& block = state.at("config");
+  JsonValue reordered = JsonValue::object();
+  for (const char* key : kOldKeyOrder) reordered.set(key, block.at(key));
+  ASSERT_EQ(reordered.size(), block.size());
+  ASSERT_NE(reordered.dump(), block.dump());
+  state.set("config", std::move(reordered));
+
+  session = CheckpointableParallelExplorer(app.graph, arch, state, 2);
+  while (!session.finished()) ASSERT_TRUE(session.step());
+  const ParallelRunResult got = session.result();
+  EXPECT_EQ(got.best_replica, ref.best_replica);
+  EXPECT_EQ(got.exchange_rounds, ref.exchange_rounds);
+  EXPECT_EQ(got.adoptions, ref.adoptions);
+  ASSERT_EQ(got.replicas.size(), ref.replicas.size());
+  for (std::size_t r = 0; r < ref.replicas.size(); ++r) {
+    EXPECT_EQ(got.replicas[r].best_cost, ref.replicas[r].best_cost) << r;
+    EXPECT_EQ(got.replicas[r].anneal.accepted,
+              ref.replicas[r].anneal.accepted)
+        << r;
+  }
+  expect_results_equal(got.best, ref.best);
 }
 
 // -------------------------------------------------------- storage faults

@@ -7,7 +7,6 @@
 #include "baseline/genetic.hpp"
 #include "baseline/random_search.hpp"
 #include "core/explorer.hpp"
-#include "graph/dot.hpp"
 #include "mapping/validation.hpp"
 #include "model/generators.hpp"
 #include "model/motion_detection.hpp"
@@ -132,29 +131,6 @@ TEST(Integration, SyntheticApplicationsExploreCleanly) {
     const RunResult r = explorer.run(config);
     require_valid(app.graph, r.best_architecture, r.best_solution);
     EXPECT_LE(r.best_metrics.makespan, app.graph.total_sw_time());
-  }
-}
-
-TEST(Integration, DotExportRendersPartitionedSolution) {
-  const Application app = make_motion_detection_app();
-  Architecture arch = make_cpu_fpga_architecture(
-      2000, kMotionDetectionTrPerClb, kMotionDetectionBusRate);
-  Rng rng(9);
-  const Solution sol = Solution::random_partition(app.graph, arch, 0, 1, rng);
-
-  DotStyle style;
-  style.graph_name = "motion_detection";
-  for (TaskId t = 0; t < app.graph.task_count(); ++t) {
-    style.node_label.push_back(app.graph.task(t).name);
-    const Placement& p = sol.placement(t);
-    style.node_group.push_back(
-        p.context >= 0 ? "C" + std::to_string(p.context + 1) : "");
-  }
-  const std::string dot = to_dot(app.graph.digraph(), style);
-  EXPECT_NE(dot.find("digraph \"motion_detection\""), std::string::npos);
-  EXPECT_NE(dot.find("erosion"), std::string::npos);
-  if (sol.context_count(1) > 0) {
-    EXPECT_NE(dot.find("cluster_"), std::string::npos);
   }
 }
 

@@ -7,7 +7,6 @@
 #include "core/explorer.hpp"
 #include "core/moves.hpp"
 #include "core/sweep_engine.hpp"
-#include "graph/dot.hpp"
 #include "mapping/validation.hpp"
 #include "model/generators.hpp"
 #include "model/motion_detection.hpp"
@@ -428,29 +427,6 @@ TEST(BatchedProbes, SeedDeterminismAndK1IdentityOn50RandomGraphs) {
       FAIL() << "instance seed " << seed;
     }
   }
-}
-
-TEST(DotExport, PlainGraphAndStyles) {
-  Digraph g(3);
-  g.add_edge(0, 1);
-  const EdgeId dashed = g.add_edge(1, 2);
-  DotStyle style;
-  style.node_label = {"alpha", "beta", "gamma"};
-  style.node_group = {"", "G1", "G1"};
-  style.edge_style.resize(g.edge_capacity());
-  style.edge_style[dashed] = "dashed";
-  const std::string dot = to_dot(g, style);
-  EXPECT_NE(dot.find("alpha"), std::string::npos);
-  EXPECT_NE(dot.find("label=\"G1\""), std::string::npos);
-  EXPECT_NE(dot.find("[style=dashed]"), std::string::npos);
-  EXPECT_NE(dot.find("n0 -> n1"), std::string::npos);
-}
-
-TEST(DotExport, SizeMismatchThrows) {
-  Digraph g(2);
-  DotStyle style;
-  style.node_label = {"only-one"};
-  EXPECT_THROW((void)to_dot(g, style), Error);
 }
 
 TEST(HeterogeneousProcessors, SpeedFactorScalesNodeWeights) {

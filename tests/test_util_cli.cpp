@@ -199,6 +199,25 @@ TEST(RdseCli, ExploreWithZeroRunsDoesNotCrash) {
   EXPECT_NE(r.out.find("nothing to explore"), std::string::npos);
 }
 
+TEST(RdseCli, NegativeBudgetsAreRejectedAtTheFrontDoor) {
+  // None of these reaches an engine that would reject the budget: a dry
+  // run plans no work, --runs 0 runs nothing, GA clamps its budget, and
+  // hill climbing would fail with the annealer's message.
+  const auto rejected = [](const CliOutcome& r, const char* option) {
+    return r.status == 1 && r.err.find(option) != std::string::npos;
+  };
+  EXPECT_TRUE(rejected(run_cli({"sweep", "--dry-run", "--iters", "-1"}),
+                       "option --iters"));
+  EXPECT_TRUE(rejected(run_cli({"sweep", "--dry-run", "--warmup", "-7"}),
+                       "option --warmup"));
+  EXPECT_TRUE(rejected(run_cli({"explore", "--runs", "0", "--iters", "-3"}),
+                       "option --iters"));
+  EXPECT_TRUE(rejected(run_cli({"bench", "--mappers", "ga", "--iters", "-5"}),
+                       "option --iters"));
+  EXPECT_TRUE(rejected(run_cli({"bench", "--mappers=hill_climb", "--iters=-5"}),
+                       "option --iters"));
+}
+
 TEST(RdseCli, ExploreAggregatesRepeatedRuns) {
   const CliOutcome r =
       run_cli({"explore", "--model", "motion", "--runs=2", "--iters=400",
