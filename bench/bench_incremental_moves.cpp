@@ -5,11 +5,14 @@
 /// Drives the same move sequence (bit-identical decisions) through a
 /// full_eval problem and an incremental one and reports per-move wall time,
 /// the number of re-relaxed nodes per evaluated candidate, the chain-diff
-/// hit rate and the makespan-rescan rate. Self-contained (no Google
+/// hit rate, the makespan-rescan rate and the share of probes refused as
+/// §4.3-cyclic. Self-contained (no Google
 /// Benchmark) so the CI bench-smoke stage can always build and run it;
 /// --json writes the results as a stable rdse.bench.v1 artifact
 /// (BENCH_hotpath.json in CI) that `rdse compare` diffs against the
-/// committed baseline to gate order-of-magnitude hot-path regressions.
+/// committed baseline: its timings within a generous tolerance (catching
+/// order-of-magnitude hot-path regressions), its deterministic counters at
+/// equality.
 ///
 /// Models: motion detection at 2000 CLBs (about one context) and at 100
 /// CLBs (the many-context end of the Fig. 3 sweep, about ten contexts),
@@ -106,6 +109,8 @@ struct ModelReport {
   double rank_refresh_rate = 0.0;
   double rank_repair_nodes_per_probe = 0.0;  ///< Pearce–Kelly reorder cost
   double makespan_rescan_rate = 0.0;  ///< probes that fell back to O(V) scan
+  /// Probes refused as §4.3-cyclic — by the gate, before any write to G'.
+  double cyclic_probe_rate = 0.0;
   double seq_diff_hit_rate = 0.0;     ///< chain edges kept / chain edges seen
   double seq_edges_added_per_eval = 0.0;
   double seq_edges_reweighted_per_eval = 0.0;  ///< in-place weight patches
@@ -118,7 +123,7 @@ struct ModelReport {
   double profile_reconcile_ns_per_eval = 0.0;  ///< chain diff + RC realize
   double profile_context_ns_per_eval = 0.0;    ///< RC context accounting
   double profile_relax_ns_per_eval = 0.0;      ///< delta relaxation
-  double profile_rollback_ns_per_eval = 0.0;   ///< cyclic rollback + discard
+  double profile_rollback_ns_per_eval = 0.0;   ///< discard of staged probes
   std::int64_t clbs_delta_hits = 0;    ///< CLB sums served without a walk
   std::int64_t clbs_delta_misses = 0;  ///< CLB sums re-summed over members
 };
@@ -186,6 +191,8 @@ ModelReport compare(const std::string& name, const TaskGraph& tg,
     rep.makespan_rescan_rate =
         static_cast<double>(stats->relax.makespan_rescans) /
         static_cast<double>(stats->relax.probes);
+    rep.cyclic_probe_rate = static_cast<double>(stats->relax.cyclic) /
+                            static_cast<double>(stats->relax.probes);
     const auto clbs = stats->clbs_reused + stats->clbs_computed;
     rep.clbs_reuse_rate =
         clbs > 0 ? static_cast<double>(stats->clbs_reused) /
@@ -238,17 +245,18 @@ ModelReport compare(const std::string& name, const TaskGraph& tg,
 
 void print_table(const std::vector<ModelReport>& reports) {
   std::printf(
-      "\n%-24s %5s | %8s %8s %7s | %9s %9s %7s | %8s %7s %6s %6s\n",
+      "\n%-24s %5s | %8s %8s %7s | %9s %9s %7s | %8s %7s %6s %6s %6s\n",
       "model", "tasks", "full/mv", "inc/mv", "speedup", "full/eval",
-      "inc/eval", "evalspd", "relax/ev", "jrnl/ev", "diff%", "scan%");
+      "inc/eval", "evalspd", "relax/ev", "jrnl/ev", "diff%", "scan%", "cyc%");
   for (const ModelReport& r : reports) {
     std::printf(
         "%-24s %5zu | %7.0fn %7.0fn %6.2fx | %8.0fn %8.0fn %6.2fx | "
-        "%8.2f %7.2f %5.1f%% %5.1f%%\n",
+        "%8.2f %7.2f %5.1f%% %5.1f%% %5.1f%%\n",
         r.model.c_str(), r.tasks, r.full_ns_per_move, r.inc_ns_per_move,
         r.speedup, r.full_ns_per_eval, r.inc_ns_per_eval, r.eval_speedup,
         r.relaxed_per_probe, r.journal_entries_per_probe,
-        100.0 * r.seq_diff_hit_rate, 100.0 * r.makespan_rescan_rate);
+        100.0 * r.seq_diff_hit_rate, 100.0 * r.makespan_rescan_rate,
+        100.0 * r.cyclic_probe_rate);
   }
   std::printf("%-24s | %10s %10s %10s %10s %10s | %9s %9s %8s\n",
               "micro-profile", "stage/ev", "recon/ev", "ctx/ev", "relax/ev",
@@ -297,6 +305,7 @@ void write_json(const std::string& path, std::int64_t moves,
     row.set("rank_refresh_rate", r.rank_refresh_rate);
     row.set("rank_repair_nodes_per_probe", r.rank_repair_nodes_per_probe);
     row.set("makespan_rescan_rate", r.makespan_rescan_rate);
+    row.set("cyclic_probe_rate", r.cyclic_probe_rate);
     row.set("seq_diff_hit_rate", r.seq_diff_hit_rate);
     row.set("seq_edges_added_per_eval", r.seq_edges_added_per_eval);
     row.set("seq_edges_reweighted_per_eval", r.seq_edges_reweighted_per_eval);

@@ -104,7 +104,8 @@ compare options:
   --current PATH    current artifact (or second positional path)
   --tolerance F     allowed relative regression per metric    [0.1]
                     (lower-better metrics may grow to (1+F) x baseline,
-                    higher-better metrics may shrink to baseline / (1+F))
+                    higher-better metrics may shrink to baseline / (1+F);
+                    rdse.bench.v1's deterministic counters must be equal)
   Both artifacts must share a schema: rdse.sweep.v1 (points matched by
   label) or rdse.bench.v1 (results matched by model). Exits 1 when any
   metric regresses beyond the tolerance — the CI trend gate.
@@ -208,6 +209,15 @@ ExplorerConfig base_config(const Options& opts, std::int64_t default_iters) {
   RDSE_REQUIRE(config.warmup_iterations >= 0,
                "option --warmup: negative count");
   return config;
+}
+
+/// --threads / RDSE_THREADS (0 = hardware). A negative count must not wrap
+/// to a huge unsigned one: the sweep engine caps its pool only at the job
+/// count.
+unsigned thread_count(const Options& opts) {
+  const std::int64_t threads = opts.get_int("threads", 0, "RDSE_THREADS");
+  RDSE_REQUIRE(threads >= 0, "option --threads: negative thread count");
+  return static_cast<unsigned>(threads);
 }
 
 void write_artifact(const std::string& path, const JsonValue& doc,
@@ -353,8 +363,7 @@ int cmd_explore(const Options& opts, std::ostream& out) {
   const ModelSpec model = load_model(opts);
   const auto clbs = static_cast<std::int32_t>(opts.get_int("clbs", 2'000));
   const int runs = static_cast<int>(opts.get_int("runs", 1));
-  const auto threads =
-      static_cast<unsigned>(opts.get_int("threads", 0, "RDSE_THREADS"));
+  const unsigned threads = thread_count(opts);
   const bool quiet = opts.get_flag("quiet");
   const std::string checkpoint_path = opts.get_string("checkpoint", "");
   const std::int64_t checkpoint_every =
@@ -450,8 +459,7 @@ int cmd_bench(const Options& opts, std::ostream& out) {
   const ModelSpec model = load_model(opts);
   const auto clbs = static_cast<std::int32_t>(opts.get_int("clbs", 2'000));
   const int runs = static_cast<int>(opts.get_int("runs", 3));
-  const auto threads =
-      static_cast<unsigned>(opts.get_int("threads", 0, "RDSE_THREADS"));
+  const unsigned threads = thread_count(opts);
   const bool quiet = opts.get_flag("quiet");
   const std::string prefix = opts.get_string("json-prefix", "");
   RDSE_REQUIRE(runs >= 1, "option --runs: need at least one run per mapper");
@@ -497,8 +505,7 @@ int cmd_sweep(const Options& opts, std::ostream& out) {
   const ModelSpec model = load_model(opts);
   const std::string axis = opts.get_string("axis", "device-size");
   const int runs = static_cast<int>(opts.get_int("runs", 5));
-  const auto threads =
-      static_cast<unsigned>(opts.get_int("threads", 0, "RDSE_THREADS"));
+  const unsigned threads = thread_count(opts);
   const bool dry_run = opts.get_flag("dry-run");
   const bool quiet = opts.get_flag("quiet");
   const std::string json_path = opts.get_string("json", "");
@@ -611,17 +618,29 @@ int cmd_report(const Options& opts, std::ostream& out, std::ostream& err) {
 
 // ------------------------------------------------------------------ compare
 
+/// How a paired metric is gated: a measurement within the tolerance in
+/// its better direction, or a deterministic counter at equality whatever
+/// the tolerance (a counter that moves means the code does different work).
+enum class Gate : std::uint8_t { kLowerBetter, kHigherBetter, kExact };
+
 /// One metric of one artifact entry, paired across baseline and current.
 struct MetricDelta {
   std::string context;  ///< point label / model name
   std::string metric;
-  bool higher_better = false;
+  Gate gate = Gate::kLowerBetter;
   double base = 0.0;
   double cur = 0.0;
 
   [[nodiscard]] bool regressed(double tolerance) const {
-    if (higher_better) return cur * (1.0 + tolerance) < base;
-    return cur > base * (1.0 + tolerance);
+    switch (gate) {
+      case Gate::kLowerBetter:
+        return cur > base * (1.0 + tolerance);
+      case Gate::kHigherBetter:
+        return cur * (1.0 + tolerance) < base;
+      case Gate::kExact:
+        return cur != base;
+    }
+    return true;
   }
   [[nodiscard]] double change() const {  // signed relative change
     return base != 0.0 ? (cur - base) / base : 0.0;
@@ -662,10 +681,10 @@ struct PairReport {
 /// either side (schema evolution) or non-positive in the baseline (nothing
 /// measured) are skipped rather than failed: the gate targets regressions,
 /// not schema drift — but the skips are counted so a total overlap of zero
-/// can still fail loudly.
+/// can still fail loudly. An exact counter is paired even at zero.
 void pair_metric(const JsonValue& base, const JsonValue& cur,
-                 const std::string& context, const char* metric,
-                 bool higher_better, PairReport& report) {
+                 const std::string& context, const char* metric, Gate gate,
+                 PairReport& report) {
   const JsonValue* b = base.find(metric);
   const JsonValue* c = cur.find(metric);
   if (b == nullptr || c == nullptr) return;
@@ -674,9 +693,9 @@ void pair_metric(const JsonValue& base, const JsonValue& cur,
     return;
   }
   ++report.overlapping;
-  if (b->as_number() <= 0.0) return;
-  report.deltas.push_back({context, metric, higher_better, b->as_number(),
-                           c->as_number()});
+  if (gate != Gate::kExact && b->as_number() <= 0.0) return;
+  report.deltas.push_back(
+      {context, metric, gate, b->as_number(), c->as_number()});
 }
 
 PairReport pair_sweep_metrics(const JsonValue& base, const JsonValue& cur) {
@@ -690,8 +709,10 @@ PairReport pair_sweep_metrics(const JsonValue& base, const JsonValue& cur) {
       continue;  // dry-run plan: grid only, nothing measured
     }
     ++report.measurable_pairs;
-    pair_metric(bp, *cp, label, "mean_makespan_ms", false, report);
-    pair_metric(bp, *cp, label, "best_makespan_ms", false, report);
+    pair_metric(bp, *cp, label, "mean_makespan_ms", Gate::kLowerBetter,
+                report);
+    pair_metric(bp, *cp, label, "best_makespan_ms", Gate::kLowerBetter,
+                report);
   }
   return report;
 }
@@ -704,13 +725,18 @@ PairReport pair_bench_metrics(const JsonValue& base, const JsonValue& cur) {
     RDSE_REQUIRE(cr != nullptr,
                  "current artifact is missing bench result '" + model + "'");
     ++report.measurable_pairs;
-    pair_metric(br, *cr, model, "incremental_ns_per_move", false, report);
-    pair_metric(br, *cr, model, "incremental_ns_per_evaluated_move", false,
+    pair_metric(br, *cr, model, "incremental_ns_per_move", Gate::kLowerBetter,
                 report);
-    pair_metric(br, *cr, model, "evaluated_move_speedup", true, report);
-    pair_metric(br, *cr, model, "relaxed_nodes_per_probe", false, report);
-    pair_metric(br, *cr, model, "makespan_rescan_rate", false, report);
-    pair_metric(br, *cr, model, "seq_diff_hit_rate", true, report);
+    pair_metric(br, *cr, model, "incremental_ns_per_evaluated_move",
+                Gate::kLowerBetter, report);
+    pair_metric(br, *cr, model, "evaluated_move_speedup", Gate::kHigherBetter,
+                report);
+    // Deterministic counters: same --moves/--seed, same value on any host.
+    for (const char* counter :
+         {"relaxed_nodes_per_probe", "makespan_rescan_rate",
+          "seq_diff_hit_rate", "cyclic_probe_rate"}) {
+      pair_metric(br, *cr, model, counter, Gate::kExact, report);
+    }
   }
   return report;
 }
@@ -803,7 +829,9 @@ int cmd_compare(const Options& opts, std::ostream& out, std::ostream& err) {
         .cell(d.base, 3)
         .cell(d.cur, 3)
         .cell(std::to_string(std::llround(100.0 * d.change())) + "%")
-        .cell(bad ? "REGRESSED" : "ok");
+        .cell(!bad                     ? "ok"
+              : d.gate == Gate::kExact ? "CHANGED"
+                                       : "REGRESSED");
   }
   if (!quiet) {
     char tol[32];
@@ -813,7 +841,8 @@ int cmd_compare(const Options& opts, std::ostream& out, std::ostream& err) {
   }
   if (regressions > 0) {
     err << "rdse compare: " << regressions << " metric(s) regressed beyond "
-        << "tolerance " << tolerance << '\n';
+        << "tolerance " << tolerance << " (or, for exact counters, changed)"
+        << '\n';
     return 1;
   }
   if (!quiet) out << "no regressions beyond tolerance\n";

@@ -203,6 +203,7 @@ void DeltaRelaxer::reset(const WeightedDag& dag) {
   journal_.clear();
   rank_journal_.clear();
   order_journal_.clear();
+  gated_ = false;
   probe_valid_ = false;
 }
 
@@ -230,52 +231,125 @@ void DeltaRelaxer::rollback_probe() {
 
 void DeltaRelaxer::discard() { rollback_probe(); }
 
+void DeltaRelaxer::begin_edit(const Digraph& committed) {
+  // An unresolved previous probe left its candidate values and ranks in
+  // place — restore the committed fixed point before describing a new
+  // candidate.
+  rollback_probe();
+  gated_ = false;
+  if (++edit_epoch_ == 0) {  // wrapped: stale stamps would alias
+    std::fill(hidden_mark_.begin(), hidden_mark_.end(), 0);
+    for (ChainHeads& h : chain_heads_) h.stamp = 0;
+    edit_epoch_ = 1;
+  }
+  if (hidden_mark_.size() < committed.edge_capacity()) {
+    hidden_mark_.resize(committed.edge_capacity(), 0);
+  }
+  if (chain_heads_.size() != rank_.size()) {
+    chain_heads_.assign(rank_.size(), ChainHeads{});
+  }
+  chains_.clear();
+  chain_nodes_.clear();
+  chain_links_.clear();
+  queue_.clear();
+}
+
+void DeltaRelaxer::link_chain(NodeId v, std::uint32_t chain, bool out) {
+  ChainHeads& h = chain_heads_[v];
+  if (h.stamp != edit_epoch_) h = {edit_epoch_, 0, 0};
+  std::uint32_t& head = out ? h.out : h.in;
+  chain_links_.push_back({chain, head});
+  head = static_cast<std::uint32_t>(chain_links_.size());
+}
+
+void DeltaRelaxer::add_chain(std::span<const NodeId> sources,
+                             std::span<const NodeId> targets) {
+  if (sources.empty() || targets.empty()) return;
+  // The biclique holds a descending pair iff its highest source does not
+  // sit below its lowest target in the committed ranks.
+  Chain c{};
+  c.begin = static_cast<std::uint32_t>(chain_nodes_.size());
+  std::uint32_t hi = 0;
+  for (NodeId s : sources) {
+    hi = std::max(hi, rank_[s]);
+    chain_nodes_.push_back(s);
+  }
+  c.mid = static_cast<std::uint32_t>(chain_nodes_.size());
+  std::uint32_t lo = std::numeric_limits<std::uint32_t>::max();
+  for (NodeId t : targets) {
+    lo = std::min(lo, rank_[t]);
+    chain_nodes_.push_back(t);
+  }
+  c.end = static_cast<std::uint32_t>(chain_nodes_.size());
+  if (hi >= lo) {
+    queue_.push_back(static_cast<std::uint32_t>(chains_.size()));
+    c.adopt = static_cast<std::uint32_t>(queue_.size());
+  }
+  chains_.push_back(c);
+}
+
+bool DeltaRelaxer::gate(const Digraph& committed) {
+  RDSE_REQUIRE(committed.node_count() == rank_.size(),
+               "DeltaRelaxer::gate: node count changed");
+  ++stats_.probes;
+  stats_.total_nodes += static_cast<std::int64_t>(rank_.size());
+  // Every committed edge ascends in the committed ranks, and hiding edges
+  // cannot break that: with no descending chain they number the candidate
+  // as they are. Otherwise repair them locally, which also decides
+  // acyclicity.
+  if (!queue_.empty()) {
+    ++stats_.rank_refreshes;
+    // Only the repair walks chains by node: index them now.
+    for (std::uint32_t c = 0; c < chains_.size(); ++c) {
+      const Chain& chain = chains_[c];
+      for (std::uint32_t k = chain.begin; k < chain.end; ++k) {
+        link_chain(chain_nodes_[k], c, k < chain.mid);
+      }
+    }
+    if (!repair_ranks(committed)) {
+      ++stats_.cyclic;  // repair_ranks already rolled its edits back
+      return false;
+    }
+  }
+  gated_ = true;
+  return true;
+}
+
 std::optional<TimeNs> DeltaRelaxer::probe(const WeightedDag& dag,
                                           std::span<const NodeId> seeds,
                                           std::span<const EdgeId> new_edges) {
-  // An unresolved previous probe left its candidate values in place —
-  // restore the committed fixed point before staging a new candidate.
-  rollback_probe();
-
+  // The edit is already in the graph: describe each inserted edge as hidden
+  // and re-added as a one-pair chain, so the gate sees the same candidate.
   const Digraph& g = *dag.graph;
-  const std::size_t n = g.node_count();
-  RDSE_REQUIRE(n == rank_.size(), "DeltaRelaxer::probe: node count changed");
-  ++stats_.probes;
-  stats_.total_nodes += static_cast<std::int64_t>(n);
-
-  // 1. Topological ranks. Deletions and weight changes cannot introduce a
-  // cycle or invalidate the committed ranks — only the inserted edges can.
-  // If every inserted edge ascends, the committed ranks remain a valid
-  // numbering of the edited graph; otherwise repair the ranks locally
-  // (Pearce–Kelly), which also decides acyclicity. This happens before any
-  // value is written, so a cyclic candidate leaves no journal to unwind.
-  bool ranks_ok = true;
+  begin_edit(g);
   for (EdgeId e : new_edges) {
     const Digraph::Edge& ed = g.edge_unchecked(e);
-    if (rank_[ed.src] >= rank_[ed.dst]) {
-      ranks_ok = false;
-      break;
-    }
+    hide_edge(e);
+    add_chain({&ed.src, 1}, {&ed.dst, 1});
   }
-  if (!ranks_ok) {
-    ++stats_.rank_refreshes;
-    if (!repair_ranks(g, new_edges)) {
-      ++stats_.cyclic;  // repair_ranks already rolled its edits back
-      return std::nullopt;
-    }
-  }
+  if (!gate(g)) return std::nullopt;
+  return relax(dag, seeds);
+}
+
+TimeNs DeltaRelaxer::relax(const WeightedDag& dag,
+                           std::span<const NodeId> seeds) {
+  RDSE_REQUIRE(gated_, "DeltaRelaxer::relax: no successful gate");
+  gated_ = false;
+  const Digraph& g = *dag.graph;
+  const std::size_t n = g.node_count();
+  RDSE_REQUIRE(n == rank_.size(), "DeltaRelaxer::relax: node count changed");
   const std::vector<std::uint32_t>& rank = rank_;
   const std::vector<NodeId>& order = order_;
   stats_.seed_nodes += static_cast<std::int64_t>(seeds.size());
 
-  // 2. Multi-seed dirty propagation in ascending rank order via the
-  // schedule bitmask. Every node is processed at most once: its
-  // predecessors (lower rank) are final when its bit is consumed, because
-  // bits are only ever set above the scan position (edges ascend in rank)
-  // or by the up-front seeding. Candidate values are written directly over
-  // the committed arrays; each changed node's committed values go into the
-  // journal first, so a rejected probe replays it backwards instead of a
-  // v3-style O(V) buffer copy per probe.
+  // Multi-seed dirty propagation in ascending rank order via the schedule
+  // bitmask. Every node is processed at most once: its predecessors (lower
+  // rank) are final when its bit is consumed, because bits are only ever
+  // set above the scan position (edges ascend in rank) or by the up-front
+  // seeding. Candidate values are written directly over the committed
+  // arrays; each changed node's committed values go into the journal
+  // first, so a rejected probe replays it backwards instead of a v3-style
+  // O(V) buffer copy per probe.
   queued_.assign((n + 63) / 64, 0);
   for (NodeId v : seeds) {
     const std::uint32_t r = rank[v];
@@ -300,7 +374,7 @@ std::optional<TimeNs> DeltaRelaxer::probe(const WeightedDag& dag,
       TimeNs s = dag.release.empty() ? 0 : dag.release[v];
       for (const HalfEdge& h : g.in_half(v)) {
         RDSE_DCHECK(h.weight == dag.edge_weight[h.edge],
-                    "DeltaRelaxer::probe: half-edge weight mirror desynced");
+                    "DeltaRelaxer::relax: half-edge weight mirror desynced");
         s = std::max(s, finish_[h.node] + h.weight);
       }
       const TimeNs f = s + dag.node_weight[v];
@@ -351,107 +425,142 @@ std::optional<TimeNs> DeltaRelaxer::probe(const WeightedDag& dag,
   return cand_makespan_;
 }
 
-bool DeltaRelaxer::repair_ranks(const Digraph& g,
-                                std::span<const EdgeId> new_edges) {
-  // Pearce–Kelly dynamic topological sort, batched: adopt the inserted
-  // edges one at a time into rank_/order_ *in place*, journaling every
-  // write (the committed numbering stayed valid under deletions and weight
-  // changes, so it is the correct starting point — and the journal is what
-  // v3's two O(V) candidate copies became). The loop invariant is the
-  // textbook single-insertion one — before edge i is adopted, the repaired
-  // numbering is valid for the whole edited graph *minus* new_edges[i..] —
-  // so both bounded sweeps below may traverse every edge except that
-  // not-yet-adopted suffix, and the forward sweep reaching `x` is an exact
-  // cycle certificate. On a detected cycle the partial repair is rolled
-  // back here, leaving the committed numbering bit-intact.
+bool DeltaRelaxer::repair_ranks(const Digraph& g) {
+  // Pearce–Kelly dynamic topological sort, batched: adopt the descending
+  // chains one at a time into rank_/order_ *in place*, journaling every
+  // write (the committed numbering stays valid for every committed edge
+  // that is not hidden and for every chain that ascends, so it is the
+  // correct starting point). The loop invariant is the textbook
+  // single-insertion one, with a biclique in place of an edge — before
+  // chain i is adopted, the repaired numbering is valid for the whole
+  // candidate graph *minus* queue_[i..] — so both bounded sweeps below may
+  // traverse every candidate edge except that not-yet-adopted suffix, and
+  // the forward sweep (from the targets) reaching a source is an exact
+  // cycle certificate. Sweeping from all of a biclique's targets and
+  // sources at once keeps the classic proof: the targets' descendants only
+  // move up, the sources' ancestors only move down. On a detected cycle the
+  // partial repair is rolled back here, leaving the committed numbering
+  // bit-intact.
   //
-  // Each violating edge advances the epoch twice; re-zero the marks when
-  // the remaining headroom could not cover this whole batch (wrapping
-  // mid-call would alias stale marks and corrupt the sweeps).
+  // Each descending chain advances the epoch three times; re-zero the
+  // marks when the remaining headroom could not cover this whole batch
+  // (wrapping mid-call would alias stale marks and corrupt the sweeps).
   const std::uint32_t needed =
-      2 * static_cast<std::uint32_t>(new_edges.size()) + 2;
+      3 * static_cast<std::uint32_t>(queue_.size()) + 3;
   if (visit_mark_.size() != rank_.size() ||
       visit_epoch_ >= std::numeric_limits<std::uint32_t>::max() - needed) {
     visit_mark_.assign(rank_.size(), 0);
+    std::fill(chain_visit_.begin(), chain_visit_.end(), 0);
     visit_epoch_ = 0;
   }
-  // Stamp each inserted edge with its batch position so the sweeps decide
-  // "still pending?" with one epoch-checked load instead of scanning
-  // new_edges per visited half-edge. Ascending writes keep the max position
-  // for a (theoretical) duplicate id, matching the scan's any-of semantics.
-  if (edge_batch_mark_.size() < g.edge_capacity() ||
-      edge_batch_epoch_ == std::numeric_limits<std::uint32_t>::max()) {
-    edge_batch_pos_.assign(g.edge_capacity(), 0);
-    edge_batch_mark_.assign(g.edge_capacity(), 0);
-    edge_batch_epoch_ = 0;
+  if (chain_visit_.size() < chains_.size()) {
+    chain_visit_.resize(chains_.size(), 0);
   }
-  ++edge_batch_epoch_;
-  for (std::size_t j = 0; j < new_edges.size(); ++j) {
-    edge_batch_pos_[new_edges[j]] = static_cast<std::uint32_t>(j);
-    edge_batch_mark_[new_edges[j]] = edge_batch_epoch_;
-  }
-  const auto pending = [&](EdgeId e, std::size_t next) {
-    return edge_batch_mark_[e] == edge_batch_epoch_ &&
-           edge_batch_pos_[e] >= next;
+  const auto hidden = [&](EdgeId e) { return hidden_mark_[e] == edit_epoch_; };
+  const auto sources = [&](const Chain& c) {
+    return std::span<const NodeId>(chain_nodes_.data() + c.begin,
+                                   c.mid - c.begin);
   };
-  for (std::size_t i = 0; i < new_edges.size(); ++i) {
-    const Digraph::Edge& ed = g.edge_unchecked(new_edges[i]);
-    const NodeId x = ed.src;
-    const NodeId y = ed.dst;
-    const std::uint32_t lb = rank_[y];
-    const std::uint32_t ub = rank_[x];
+  const auto targets = [&](const Chain& c) {
+    return std::span<const NodeId>(chain_nodes_.data() + c.mid,
+                                   c.end - c.mid);
+  };
+  const auto heads = [&](NodeId v) {
+    const ChainHeads& h = chain_heads_[v];
+    return h.stamp == edit_epoch_ ? h : ChainHeads{};
+  };
+  for (std::size_t i = 0; i < queue_.size(); ++i) {
+    const Chain& chain = chains_[queue_[i]];
+    std::uint32_t lb = std::numeric_limits<std::uint32_t>::max();
+    std::uint32_t ub = 0;
+    for (NodeId t : targets(chain)) lb = std::min(lb, rank_[t]);
+    for (NodeId s : sources(chain)) ub = std::max(ub, rank_[s]);
     if (ub < lb) continue;  // already ascends under the repaired numbering
     ++stats_.rank_repairs;
+    // A chain is walkable once adopted (or ascending from the start).
+    const auto adopted = [&](std::uint32_t c) { return chains_[c].adopt <= i; };
 
-    // delta_fwd_: nodes reachable from y inside the window (y first). If x
-    // is reachable, the edge closes a cycle — report it, never repair.
-    ++visit_epoch_;
+    // delta_fwd_: nodes reachable from the targets inside the window. If a
+    // source is reachable, the chain closes a cycle — report it, never
+    // repair.
+    const std::uint32_t source_mark = ++visit_epoch_;
+    for (NodeId s : sources(chain)) visit_mark_[s] = source_mark;
+    const std::uint32_t fwd = ++visit_epoch_;
     delta_fwd_.clear();
-    dfs_stack_.assign(1, y);
-    visit_mark_[y] = visit_epoch_;
-    while (!dfs_stack_.empty()) {
+    dfs_stack_.clear();
+    const auto reach_fwd = [&](NodeId w) {
+      if (visit_mark_[w] == source_mark) return true;  // a cycle
+      if (rank_[w] <= ub && visit_mark_[w] != fwd) {
+        visit_mark_[w] = fwd;
+        dfs_stack_.push_back(w);
+      }
+      return false;
+    };
+    bool cyclic = false;
+    for (NodeId t : targets(chain)) cyclic = cyclic || reach_fwd(t);
+    while (!cyclic && !dfs_stack_.empty()) {
       const NodeId v = dfs_stack_.back();
       dfs_stack_.pop_back();
       delta_fwd_.push_back(v);
       for (const HalfEdge& h : g.out_half(v)) {
-        if (pending(h.edge, i)) continue;
-        const NodeId w = h.node;
-        if (w == x) {
-          rollback_ranks();  // y reaches x: inserting x->y cycles
-          return false;
+        if (!hidden(h.edge) && reach_fwd(h.node)) {
+          cyclic = true;
+          break;
         }
-        if (rank_[w] > ub || visit_mark_[w] == visit_epoch_) continue;
-        visit_mark_[w] = visit_epoch_;
-        dfs_stack_.push_back(w);
+      }
+      for (std::uint32_t l = heads(v).out; l != 0 && !cyclic;
+           l = chain_links_[l - 1].next) {
+        const std::uint32_t c = chain_links_[l - 1].chain;
+        if (!adopted(c) || chain_visit_[c] == fwd) continue;
+        chain_visit_[c] = fwd;  // a hub is crossed once per sweep
+        for (NodeId w : targets(chains_[c])) {
+          if (reach_fwd(w)) {
+            cyclic = true;
+            break;
+          }
+        }
       }
     }
+    if (cyclic) {
+      rollback_ranks();
+      return false;
+    }
 
-    // delta_back_: nodes reaching x inside the window (x included). The
-    // two sets are disjoint — a shared node would give a y->x path, caught
-    // above.
-    ++visit_epoch_;
+    // delta_back_: nodes reaching the sources inside the window. The two
+    // sets are disjoint — a shared node would give a target->source path,
+    // caught above.
+    const std::uint32_t back = ++visit_epoch_;
     delta_back_.clear();
-    dfs_stack_.assign(1, x);
-    visit_mark_[x] = visit_epoch_;
+    const auto reach_back = [&](NodeId w) {
+      if (rank_[w] >= lb && visit_mark_[w] != back) {
+        visit_mark_[w] = back;
+        dfs_stack_.push_back(w);
+      }
+    };
+    for (NodeId s : sources(chain)) reach_back(s);
     while (!dfs_stack_.empty()) {
       const NodeId v = dfs_stack_.back();
       dfs_stack_.pop_back();
       delta_back_.push_back(v);
       for (const HalfEdge& h : g.in_half(v)) {
-        if (pending(h.edge, i)) continue;
-        const NodeId w = h.node;
-        if (rank_[w] < lb || visit_mark_[w] == visit_epoch_) continue;
-        visit_mark_[w] = visit_epoch_;
-        dfs_stack_.push_back(w);
+        if (!hidden(h.edge)) reach_back(h.node);
+      }
+      for (std::uint32_t l = heads(v).in; l != 0;
+           l = chain_links_[l - 1].next) {
+        const std::uint32_t c = chain_links_[l - 1].chain;
+        if (!adopted(c) || chain_visit_[c] == back) continue;
+        chain_visit_[c] = back;
+        for (NodeId w : sources(chains_[c])) reach_back(w);
       }
     }
 
-    // Re-pack the union into its own rank slots: x's ancestors first (in
-    // their old relative order), then y's descendants — every other node
-    // keeps its rank, so all previously-ascending edges still ascend.
-    // The affected sets are tiny (a handful of nodes per repair), so plain
-    // insertion sorts beat std::sort's dispatch overhead here, and the
-    // slot pool is just the merge of the two already-sorted rank runs.
+    // Re-pack the union into its own rank slots: the sources' ancestors
+    // first (in their old relative order), then the targets' descendants —
+    // every other node keeps its rank, so all previously-ascending edges
+    // still ascend. The affected sets are tiny (a handful of nodes per
+    // repair), so plain insertion sorts beat std::sort's dispatch overhead
+    // here, and the slot pool is just the merge of the two already-sorted
+    // rank runs.
     const auto insertion_by_rank = [&](std::vector<NodeId>& v) {
       for (std::size_t a = 1; a < v.size(); ++a) {
         const NodeId n = v[a];

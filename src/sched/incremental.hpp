@@ -115,8 +115,9 @@ struct DeltaRelaxStats {
   std::int64_t relaxed_nodes = 0;   ///< nodes actually re-relaxed
   std::int64_t total_nodes = 0;     ///< summed node count (full-relax cost)
   std::int64_t rank_refreshes = 0;  ///< probes whose committed ranks needed
-                                    ///< repair (an inserted edge descended)
+                                    ///< repair (an added chain descended)
   std::int64_t rank_repairs = 0;       ///< Pearce–Kelly window reorders
+                                       ///< (one per descending chain)
   std::int64_t rank_repair_nodes = 0;  ///< nodes moved by those reorders
   /// Probes whose makespan required a full O(V) finish-time rescan (the
   /// committed argmax set emptied and no relaxed node reached it); every
@@ -134,12 +135,22 @@ struct DeltaRelaxStats {
 /// committed one by a *local* edit (the caller mutates the graph in place
 /// and rolls it back on rejection). The relaxer keeps only the committed
 /// longest-path fixed point (start/finish values and topological ranks), no
-/// graph: probe() is handed the edited graph, the set of *seed* nodes whose
-/// local inputs changed, and the edges the edit inserted. It inherits the
-/// committed values everywhere else and re-relaxes in topological-rank
-/// order only while values keep changing — the same dirty-set propagation
-/// as IncrementalLongestPath, generalized to multi-seed deltas. Results are
-/// bit-identical to a full recomputation (property-tested).
+/// graph. A probe has two steps:
+///
+///  1. gate(): the caller describes the candidate's structural edit against
+///     the committed graph *before* writing it — the committed edges the
+///     candidate drops (hide_edge) and the chain bicliques it adds
+///     (add_chain: every source -> every target, e.g. one Ehw segment
+///     terminals(k) x initials(k+1)) — and the gate decides whether the
+///     candidate graph is acyclic (§4.3), repairing the ranks for it;
+///  2. relax(): once the edit is written, re-relax from the *seed* nodes
+///     whose local inputs changed. It inherits the committed values
+///     everywhere else and re-relaxes in topological-rank order only while
+///     values keep changing — the same dirty-set propagation as
+///     IncrementalLongestPath, generalized to multi-seed deltas. Results are
+///     bit-identical to a full recomputation (property-tested).
+///
+/// probe() runs both steps for an edit that is already in the graph.
 ///
 /// Candidate values are written *in place* over the committed start/finish
 /// arrays, guarded by a compact undo journal of (node, old start, old
@@ -147,23 +158,27 @@ struct DeltaRelaxStats {
 /// candidate buffers on every probe; now a probe touches only O(relaxed)
 /// memory: commit() truncates the journal (O(1)), and a rejected probe
 /// replays it backwards to restore the committed fixed point bit-exactly.
-/// Between probe() and commit()/discard(), start_of()/finish_of() therefore
+/// Between relax() and commit()/discard(), start_of()/finish_of() therefore
 /// read the *staged candidate*; makespan() always reads the committed value.
 ///
 /// Acyclicity is decided for free in the common case: deletions and weight
-/// changes cannot create a cycle, so only the inserted edges are checked
-/// against the committed ranks. If every inserted edge ascends, the ranks
-/// remain a valid topological numbering and the candidate is acyclic.
-/// Otherwise the ranks are *repaired locally* (Pearce–Kelly dynamic
-/// topological sort): inserted edges are adopted one at a time, and a
-/// descending edge (x -> y) triggers two bounded DFS sweeps over the rank
-/// window [rank(y), rank(x)] — forward from y and backward from x — whose
-/// nodes are then re-packed into the window's own rank slots (affected
-/// region first follows x's ancestors, then y's descendants). Cost is
+/// changes cannot create a cycle, and every committed edge ascends in the
+/// committed ranks, so only an added chain edge that *descends* can close a
+/// cycle. If no added biclique holds a descending pair, the ranks remain a
+/// valid topological numbering and the candidate is acyclic. Otherwise the
+/// ranks are *repaired locally* (Pearce–Kelly dynamic topological sort):
+/// the descending bicliques are adopted one at a time, each triggering two
+/// bounded DFS sweeps over its rank window [min rank of its targets, max
+/// rank of its sources] — forward from the targets and backward from the
+/// sources — whose nodes are then re-packed into the window's own rank
+/// slots (the sources' ancestors first, then the targets' descendants).
+/// The sweeps walk the candidate graph as described — hidden edges
+/// skipped, each added biclique crossed through its hub in O(sources +
+/// targets), never as sources x targets edges — so the cost is
 /// proportional to the affected window, not the graph; the forward sweep
-/// reaching x is exactly the cycle certificate, so acyclicity still falls
-/// out of the same pass. A cyclic probe is rejected before any value is
-/// written, so it leaves no journal to unwind.
+/// reaching a source is exactly the cycle certificate. A cyclic candidate
+/// is therefore rejected before any write to G' (the caller's graph) and
+/// before any value is written, and leaves no journal to unwind.
 ///
 /// The makespan is maintained incrementally as well: the relaxer carries
 /// the multiplicity of the committed maximum (how many nodes finish exactly
@@ -171,7 +186,7 @@ struct DeltaRelaxStats {
 /// a changed node exceeding the old maximum dominates outright, and as long
 /// as the argmax set stays populated the old maximum stands. Only when the
 /// set empties while nothing relaxed reaches it can the new maximum hide
-/// among untouched nodes, and only then does probe() fall back to a full
+/// among untouched nodes, and only then does relax() fall back to a full
 /// finish-time rescan (counted in DeltaRelaxStats::makespan_rescans).
 ///
 /// All scratch storage is reused — steady-state probes allocate nothing
@@ -182,16 +197,36 @@ class DeltaRelaxer {
   /// be acyclic).
   void reset(const WeightedDag& dag);
 
-  /// Evaluate the edited graph against the committed fixed point.
-  ///  - `seeds`: every node whose local relaxation inputs changed (release,
-  ///    node weight, incoming edge set or incoming edge weights). Duplicates
-  ///    are fine. Under-seeding yields silently wrong values — callers are
-  ///    property-tested against full evaluation.
-  ///  - `new_edges`: edges present in `dag` but not in the committed graph
-  ///    (the only possible rank violations / cycle sources).
-  /// Returns the candidate makespan, or std::nullopt if the edited graph is
-  /// cyclic. An unresolved previous probe is rolled back first, so the
-  /// committed fixed point is the baseline either way.
+  /// Start describing a candidate's structural edit against `committed`
+  /// (the graph as the committed ranks know it). An unresolved previous
+  /// probe is rolled back first, so the committed fixed point is the
+  /// baseline either way.
+  void begin_edit(const Digraph& committed);
+  /// The candidate drops this committed edge.
+  void hide_edge(EdgeId edge) { hidden_mark_[edge] = edit_epoch_; }
+  /// The candidate adds an edge from every source to every target.
+  void add_chain(std::span<const NodeId> sources,
+                 std::span<const NodeId> targets);
+
+  /// Step 1: is the described candidate graph acyclic? Counts the probe.
+  /// On success the ranks are repaired in place for the candidate (under
+  /// the rank journals — relax() relies on them); on a cycle they are left
+  /// as committed.
+  [[nodiscard]] bool gate(const Digraph& committed);
+
+  /// Step 2, after a successful gate() and with the described edit written
+  /// into `dag`: relax from `seeds` — every node whose local relaxation
+  /// inputs changed (release, node weight, incoming edge set or incoming
+  /// edge weights). Duplicates are fine. Under-seeding yields silently
+  /// wrong values — callers are property-tested against full evaluation.
+  /// Returns the candidate makespan.
+  [[nodiscard]] TimeNs relax(const WeightedDag& dag,
+                             std::span<const NodeId> seeds);
+
+  /// Both steps for an edit already written into `dag`: `new_edges` are the
+  /// edges present in `dag` but not in the committed graph (deletions need
+  /// no mention). Returns the candidate makespan, or std::nullopt if the
+  /// edited graph is cyclic.
   [[nodiscard]] std::optional<TimeNs> probe(const WeightedDag& dag,
                                             std::span<const NodeId> seeds,
                                             std::span<const EdgeId> new_edges);
@@ -207,7 +242,7 @@ class DeltaRelaxer {
 
   [[nodiscard]] TimeNs makespan() const { return makespan_; }
   /// Committed value — or the staged candidate's, between a successful
-  /// probe() and its commit()/discard() (in-place layout).
+  /// probe and its commit()/discard() (in-place layout).
   [[nodiscard]] TimeNs start_of(NodeId node) const {
     RDSE_DCHECK(node < start_.size(), "DeltaRelaxer::start_of: bad node");
     return start_[node];
@@ -218,9 +253,11 @@ class DeltaRelaxer {
   }
   [[nodiscard]] const DeltaRelaxStats& stats() const { return stats_; }
   [[nodiscard]] std::uint32_t last_relaxed() const { return last_relaxed_; }
-  /// Undo-journal records staged by the last probe (cleared by
-  /// commit()/discard()).
-  [[nodiscard]] std::size_t journal_size() const { return journal_.size(); }
+  /// Undo-journal records staged by the last probe — value and rank
+  /// records alike (cleared by commit()/discard()).
+  [[nodiscard]] std::size_t journal_size() const {
+    return journal_.size() + rank_journal_.size();
+  }
   /// Scratch-capacity watermarks — steady-state probes must not move them
   /// (the "allocates nothing" property the tests pin down).
   [[nodiscard]] std::size_t journal_capacity() const {
@@ -243,7 +280,7 @@ class DeltaRelaxer {
   // place by probes under journal protection. `order_` is the inverse rank
   // permutation (rank index -> node). `count_at_max_` is the number of
   // nodes whose finish equals makespan_ — the argmax multiplicity that
-  // lets probe() update the maximum from the relaxed delta alone.
+  // lets relax() update the maximum from the relaxed delta alone.
   std::vector<TimeNs> start_;
   std::vector<TimeNs> finish_;
   std::vector<std::uint32_t> rank_;
@@ -268,16 +305,46 @@ class DeltaRelaxer {
   std::vector<OrderUndo> order_journal_;
   TimeNs cand_makespan_ = 0;
   std::int64_t cand_count_at_max_ = 0;
+  bool gated_ = false;  ///< gate() passed; relax() may run
   bool probe_valid_ = false;
   std::uint32_t last_relaxed_ = 0;
 
+  // ---- the described edit (begin_edit .. gate) -----------------------------
+  /// An added biclique: sources chain_nodes_[begin, mid), targets
+  /// [mid, end). `adopt` is 0 when every pair ascends in the committed
+  /// ranks (valid from the start), else 1 + its position in queue_.
+  struct Chain {
+    std::uint32_t begin;
+    std::uint32_t mid;
+    std::uint32_t end;
+    std::uint32_t adopt;
+  };
+  /// Per-node heads of the singly linked lists of chains leaving / entering
+  /// the node (into chain_links_), valid while `stamp` is the edit epoch.
+  struct ChainHeads {
+    std::uint32_t stamp = 0;
+    std::uint32_t out = 0;  ///< 1 + link index, 0 = none
+    std::uint32_t in = 0;
+  };
+  struct ChainLink {
+    std::uint32_t chain;
+    std::uint32_t next;  ///< 1 + link index, 0 = none
+  };
+  std::vector<Chain> chains_;
+  std::vector<NodeId> chain_nodes_;
+  std::vector<ChainLink> chain_links_;
+  std::vector<ChainHeads> chain_heads_;
+  std::vector<std::uint32_t> queue_;  ///< descending chains, adoption order
+  /// Epoch-stamped "the candidate drops this committed edge", per EdgeId.
+  std::vector<std::uint32_t> hidden_mark_;
+  std::uint32_t edit_epoch_ = 0;
+
+  void link_chain(NodeId v, std::uint32_t chain, bool out);
   /// Pearce–Kelly local repair of rank_/order_ in place (under the rank
-  /// journals) after `new_edges` were inserted into `g`. Returns false when
-  /// the insertions close a cycle — the partial repair is already rolled
-  /// back in that case. Only nodes inside each violating edge's rank
-  /// window are moved.
-  [[nodiscard]] bool repair_ranks(const Digraph& g,
-                                  std::span<const EdgeId> new_edges);
+  /// journals) for the described edit. Returns false when it closes a
+  /// cycle — the partial repair is already rolled back in that case. Only
+  /// nodes inside each descending chain's rank window are moved.
+  [[nodiscard]] bool repair_ranks(const Digraph& g);
   void rollback_ranks();
   /// Replay all journals in reverse (committed values and ranks restored
   /// bit-exactly).
@@ -289,19 +356,15 @@ class DeltaRelaxer {
   std::vector<std::uint64_t> queued_;
 
   // repair_ranks scratch, reused across probes (steady state: no
-  // allocation). visit_mark_ is epoch-stamped so sweeps never clear it.
+  // allocation). visit_mark_ (per node) and chain_visit_ (per chain hub)
+  // are epoch-stamped so sweeps never clear them.
   std::vector<std::uint32_t> visit_mark_;
+  std::vector<std::uint32_t> chain_visit_;
   std::uint32_t visit_epoch_ = 0;
   std::vector<NodeId> dfs_stack_;
   std::vector<NodeId> delta_fwd_;
   std::vector<NodeId> delta_back_;
   std::vector<std::uint32_t> rank_pool_;
-  /// O(1) "is this edge a not-yet-adopted insertion?" test: per-edge batch
-  /// position, epoch-stamped (a linear scan of new_edges per visited
-  /// half-edge used to dominate the repair sweeps on chain-heavy models).
-  std::vector<std::uint32_t> edge_batch_pos_;
-  std::vector<std::uint32_t> edge_batch_mark_;
-  std::uint32_t edge_batch_epoch_ = 0;
 
   DeltaRelaxStats stats_;
 };

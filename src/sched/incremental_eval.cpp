@@ -153,6 +153,12 @@ IncrementalEvaluator::RcState& IncrementalEvaluator::rc_state(ResourceId r) {
   return rc_[r];
 }
 
+const IncrementalEvaluator::RcState& IncrementalEvaluator::committed_rc(
+    ResourceId r) const {
+  static const RcState kNoContexts{};
+  return r < rc_.size() ? rc_[r] : kNoContexts;
+}
+
 // The two-pointer chain diff, generic over how the desired chain is
 // described: `Desired` supplies the target length, a classification of a
 // live chain edge against a position, and the materialized record for
@@ -166,43 +172,52 @@ IncrementalEvaluator::RcState& IncrementalEvaluator::rc_state(ResourceId r) {
 // Classification is three-way: an edge whose endpoints and kind match but
 // whose weight differs (the common case when a context's reconfiguration
 // time changed under an implementation move) is *re-weighted in place*
-// instead of torn down and re-inserted — it stays out of new_edges, so it
+// instead of torn down and re-inserted — it stays out of the edit, so it
 // can neither violate the committed ranks nor trigger a Pearce-Kelly
 // repair, and the graph sees no structural churn at all.
 template <typename Desired>
-void IncrementalEvaluator::reconcile_chain(ResourceId r,
-                                           const Desired& desired,
-                                           std::size_t first,
-                                           std::size_t last) {
+IncrementalEvaluator::ChainWindow IncrementalEvaluator::diff_chain(
+    std::span<const EdgeId> list, const Desired& desired, std::size_t first,
+    std::size_t last) {
+  const std::size_t n_old = last - first;
+  const std::size_t n_new = desired.size();
+
+  // Both chains run in chain order, so a local move leaves a common prefix
+  // and suffix, and only the window in between needs surgery. Weight-only
+  // differences extend the structural prefix / suffix (patched in place
+  // under the weight undo log).
+  ChainWindow w;
+  while (w.prefix < n_old && w.prefix < n_new) {
+    const ChainMatch m = desired.classify(list[first + w.prefix], w.prefix);
+    if (m == ChainMatch::kMismatch) break;
+    if (m == ChainMatch::kWeightOnly) {
+      stage_seq_weight(list[first + w.prefix], desired.get(w.prefix).weight);
+    }
+    ++w.prefix;
+  }
+  while (w.suffix < n_old - w.prefix && w.suffix < n_new - w.prefix) {
+    const ChainMatch m =
+        desired.classify(list[last - 1 - w.suffix], n_new - 1 - w.suffix);
+    if (m == ChainMatch::kMismatch) break;
+    if (m == ChainMatch::kWeightOnly) {
+      stage_seq_weight(list[last - 1 - w.suffix],
+                       desired.get(n_new - 1 - w.suffix).weight);
+    }
+    ++w.suffix;
+  }
+  return w;
+}
+
+template <typename Desired>
+void IncrementalEvaluator::splice_chain(ResourceId r, const Desired& desired,
+                                        std::size_t first, std::size_t last,
+                                        ChainWindow window) {
   auto& list = seq_list(r);
   const std::size_t n_list = list.size();
   const std::size_t n_old = last - first;
   const std::size_t n_new = desired.size();
-
-  // Two-pointer diff: both chains run in chain order, so a local move
-  // leaves a common prefix and suffix, and only the window in between
-  // needs surgery. Weight-only differences extend the structural prefix /
-  // suffix (patched in place under the weight undo log).
-  std::size_t prefix = 0;
-  while (prefix < n_old && prefix < n_new) {
-    const ChainMatch m = desired.classify(list[first + prefix], prefix);
-    if (m == ChainMatch::kMismatch) break;
-    if (m == ChainMatch::kWeightOnly) {
-      stage_seq_weight(list[first + prefix], desired.get(prefix).weight);
-    }
-    ++prefix;
-  }
-  std::size_t suffix = 0;
-  while (suffix < n_old - prefix && suffix < n_new - prefix) {
-    const ChainMatch m =
-        desired.classify(list[last - 1 - suffix], n_new - 1 - suffix);
-    if (m == ChainMatch::kMismatch) break;
-    if (m == ChainMatch::kWeightOnly) {
-      stage_seq_weight(list[last - 1 - suffix],
-                       desired.get(n_new - 1 - suffix).weight);
-    }
-    ++suffix;
-  }
+  const std::size_t prefix = window.prefix;
+  const std::size_t suffix = window.suffix;
   seq_kept_ += static_cast<std::int64_t>(prefix + suffix);
   if (prefix == n_old && prefix == n_new) return;  // windows identical
 
@@ -230,7 +245,6 @@ void IncrementalEvaluator::reconcile_chain(ResourceId r,
     const DesiredEdge d = desired.get(k);
     const EdgeId id = sg_.add_weighted_edge(d.src, d.dst, d.weight, d.kind);
     added_ids_.push_back(id);
-    new_edges_.push_back(id);
     seeds_.push_back(d.dst);
   }
   seq_added_ += static_cast<std::int64_t>(n_new - suffix - prefix);
@@ -272,37 +286,23 @@ void IncrementalEvaluator::reconcile_window(ResourceId r, std::size_t first,
     }
     DesiredEdge get(std::size_t k) const { return (*desired)[k]; }
   };
-  reconcile_chain(r, MaterializedDesired{this, &desired_}, first, last);
+  const MaterializedDesired desired{this, &desired_};
+  splice_chain(r, desired, first, last,
+               diff_chain(seq_list(r), desired, first, last));
 }
 
-void IncrementalEvaluator::reconcile_processor_chain(
-    ResourceId r, std::span<const TaskId> order) {
-  // Processor chains are implied by the total order: edge k runs
-  // order[k] -> order[k+1], always weight 0 / kSwSeq (the builder and the
-  // splice below only ever emit such edges into a processor's list, which
-  // the DCHECK pins down). Matching a position is therefore two id
-  // compares against the flat order array — no DesiredEdge vector, no
-  // weight/kind loads, and never a weight patch.
-  struct OrderDesired {
-    const IncrementalEvaluator* self;
-    std::span<const TaskId> order;
-    std::size_t size() const {
-      return order.empty() ? 0 : order.size() - 1;
-    }
-    ChainMatch classify(EdgeId id, std::size_t k) const {
-      const Digraph::Edge& ed = self->sg_.graph.edge_unchecked(id);
-      RDSE_DCHECK(self->sg_.edge_kind[id] == SearchEdgeKind::kSwSeq &&
-                      self->sg_.graph.edge_weight(id) == 0,
-                  "processor chain holds a non-Esw edge");
-      return ed.src == order[k] && ed.dst == order[k + 1]
-                 ? ChainMatch::kExact
-                 : ChainMatch::kMismatch;
-    }
-    DesiredEdge get(std::size_t k) const {
-      return {order[k], order[k + 1], 0, SearchEdgeKind::kSwSeq};
-    }
-  };
-  reconcile_chain(r, OrderDesired{this, order}, 0, seq_list(r).size());
+IncrementalEvaluator::ChainMatch IncrementalEvaluator::OrderDesired::classify(
+    EdgeId id, std::size_t k) const {
+  // The builder and splice_chain only ever emit weight-0 kSwSeq edges into
+  // a processor's list (the DCHECK pins that down), so matching a position
+  // is two id compares against the flat order array — no weight/kind
+  // loads, and never a weight patch.
+  const Digraph::Edge& ed = self->sg_.graph.edge_unchecked(id);
+  RDSE_DCHECK(self->sg_.edge_kind[id] == SearchEdgeKind::kSwSeq &&
+                  self->sg_.graph.edge_weight(id) == 0,
+              "processor chain holds a non-Esw edge");
+  return ed.src == order[k] && ed.dst == order[k + 1] ? ChainMatch::kExact
+                                                      : ChainMatch::kMismatch;
 }
 
 std::int32_t IncrementalEvaluator::context_clbs(const Solution& sol,
@@ -313,10 +313,9 @@ std::int32_t IncrementalEvaluator::context_clbs(const Solution& sol,
   return sol.context_clbs(*tg_, rc, ctx);
 }
 
-void IncrementalEvaluator::reconcile_rc(ResourceId r,
-                                        const Architecture& cand_arch,
-                                        const Solution& cand_sol) {
-  RcState& st = rc_state(r);
+void IncrementalEvaluator::plan_rc(ResourceId r, const Architecture& cand_arch,
+                                   const Solution& cand_sol) {
+  const RcState& st = committed_rc(r);
   const bool alive = cand_arch.alive(r);
   const std::int32_t n_old = st.contexts;
   const std::int32_t n_new =
@@ -355,39 +354,49 @@ void IncrementalEvaluator::reconcile_rc(ResourceId r,
     }
   }
   const auto end = static_cast<std::uint32_t>(edits_.size());
-  rc_work_.push_back({r, begin, end, n_old, n_new, tr});
+  runs_.resize(end);
+  RcWork work{};
+  work.rc = r;
+  work.edits_begin = begin;
+  work.edits_end = end;
+  work.n_old = n_old;
+  work.n_new = n_new;
+  work.tr = tr;
+  work.first_changed = begin < end && edits_[begin].new_pos == 0;
 
   const std::int64_t cold_before = clbs_computed_;
   std::int64_t derived = 0;
-  auto& list = seq_list(r);
-  const std::size_t n_list = list.size();
-  std::size_t window_edges = 0;
-  // Chain-list offset of segment k (segments before any run still being
-  // processed are as committed: runs go last to first).
-  const auto offset = [&st](std::int32_t k) {
-    std::size_t off = 0;
-    for (std::int32_t j = 0; j < k; ++j) off += st.seg_len[j];
-    return off;
+  const std::span<const EdgeId> list = chain(r);
+  // Runs never share a segment, so every run's window is planned in
+  // committed chain offsets: apply, going last to first, splices each one
+  // before any position in front of it moves.
+  // A boundary: the tasks plan_nodes_[begin, end).
+  struct Bound {
+    std::uint32_t begin = 0;
+    std::uint32_t end = 0;
+  };
+  const auto mark = [this] {
+    return static_cast<std::uint32_t>(plan_nodes_.size());
   };
   // Boundary of a context the run changed, read off the link counts (each
   // context counts once; reads of one context are consecutive).
   std::int32_t counted = -1;
-  const auto derive = [&](std::int32_t c, bool terminals,
-                          std::vector<TaskId>& out) {
-    out.clear();
+  const auto derive = [&](std::int32_t c, bool terminals) {
+    Bound b;
+    b.begin = mark();
     context_clbs(cand_sol, r, c);  // a cold context is warmed first
-    cand_sol.append_boundary(r, static_cast<std::size_t>(c), terminals, out);
+    cand_sol.append_boundary(r, static_cast<std::size_t>(c), terminals,
+                             plan_nodes_);
+    b.end = mark();
     if (c != counted) {
       ++derived;
       counted = c;
     }
+    return b;
   };
-
-  const bool first_changed = begin < end && edits_[begin].new_pos == 0;
-  if (first_changed) {
-    for (TaskId t : st.first_initials) stage_release_pending(t, 0);
-  }
-  bool first_rederived = false;  // first_initials_ holds the new initials
+  const auto span_of = [this](std::uint32_t b, std::uint32_t e) {
+    return std::span<const TaskId>(plan_nodes_.data() + b, e - b);
+  };
 
   for (std::uint32_t i = end; i-- > begin;) {
     const Solution::ContextEdit& e = edits_[i];
@@ -396,127 +405,182 @@ void IncrementalEvaluator::reconcile_rc(ResourceId r,
     const auto op = static_cast<std::int32_t>(e.old_pos);
     const auto ol = static_cast<std::int32_t>(e.old_len);
     for (std::int32_t c = np; c < np + nl; ++c) context_clbs(cand_sol, r, c);
-
-    if (!e.members_changed) {
-      // Same members, new CLB sums: only the weights of the segments
-      // entering the run's contexts move (and the first load, when the run
-      // starts at context 0) — patched in place, nothing re-derived. The
-      // segments are still indexed as committed (old positions).
-      std::size_t off = offset(std::max(op - 1, 0));
-      for (std::int32_t j = op > 0 ? 0 : 1; j < nl; ++j) {
-        const TimeNs w = tr * cand_sol.context_clbs_cached(r, np + j);
-        const std::uint32_t len = st.seg_len[op + j - 1];
-        for (std::uint32_t k = 0; k < len; ++k) {
-          const EdgeId id = list[off + k];
-          if (sg_.graph.edge_weight(id) != w) stage_seq_weight(id, w);
-        }
-        off += len;
-      }
-      continue;
-    }
+    RunPlan& run = runs_[i];
+    run = RunPlan{};
+    // Same members, new CLB sums: the chain's structure stands, and apply
+    // patches the weights of the segments entering the run in place.
+    if (!e.members_changed) continue;
 
     // Membership changed: the old segments touching the run (old window
     // [ko_lo, ko_hi)) give way to the segments between its left neighbour
     // and its right neighbour (new contexts [kn_lo, kn_hi]).
     const std::int32_t kn_lo = std::max(np - 1, 0);
     const std::int32_t kn_hi = std::min(np + nl, n_new - 1);
-    const std::int32_t ko_lo = std::max(op - 1, 0);
-    const std::int32_t ko_hi = std::max(std::min(op + ol, n_old - 1), ko_lo);
-    const std::size_t first = offset(ko_lo);
+    run.ko_lo = std::max(op - 1, 0);
+    run.ko_hi = std::max(std::min(op + ol, n_old - 1), run.ko_lo);
+    const std::size_t first = st.offset(run.ko_lo);
     std::size_t last = first;
-    for (std::int32_t k = ko_lo; k < ko_hi; ++k) last += st.seg_len[k];
+    for (std::int32_t k = run.ko_lo; k < run.ko_hi; ++k) last += st.seg_len[k];
+    run.first = static_cast<std::uint32_t>(first);
+    run.last = static_cast<std::uint32_t>(last);
+    work.window_edges += run.last - run.first;
 
     // The unchanged neighbours' boundaries are read back from the old
-    // window before it is spliced: the chain stores segment k as
-    // terminals(k) x initials(k+1), source-major, so the left neighbour's
-    // terminals are the sources of its old outgoing segment and the right
-    // neighbour's initials the targets of the first source of its old
-    // incoming one. Only a run at the very end (no old segment after the
-    // left neighbour) or the very front derives a neighbour instead.
+    // window: the chain stores segment k as terminals(k) x initials(k+1),
+    // source-major, so the left neighbour's terminals are the sources of
+    // its old outgoing segment and the right neighbour's initials the
+    // targets of the first source of its old incoming one. Only a run at
+    // the very end (no old segment after the left neighbour) or the very
+    // front derives a neighbour instead.
     const bool has_left = np > 0;
     const bool has_right = np + nl < n_new;
+    Bound from;
     if (has_left) {
       if (op < n_old) {
-        terminals_.clear();
+        from.begin = mark();
         for (std::size_t k = first; k < first + st.seg_len[op - 1]; ++k) {
           const NodeId src = sg_.graph.edge_unchecked(list[k]).src;
-          if (terminals_.empty() || terminals_.back() != src) {
-            terminals_.push_back(src);
+          if (mark() == from.begin || plan_nodes_.back() != src) {
+            plan_nodes_.push_back(src);
           }
         }
+        from.end = mark();
       } else {
-        derive(np - 1, true, terminals_);
+        from = derive(np - 1, true);
       }
     }
+    Bound right;
     if (has_right) {
       if (op + ol > 0) {
         std::size_t k = first;
-        for (std::int32_t j = ko_lo; j < op + ol - 1; ++j) k += st.seg_len[j];
+        for (std::int32_t j = run.ko_lo; j < op + ol - 1; ++j) {
+          k += st.seg_len[j];
+        }
         const NodeId src = sg_.graph.edge_unchecked(list[k]).src;
-        right_initials_.clear();
+        right.begin = mark();
         for (; k < last && sg_.graph.edge_unchecked(list[k]).src == src;
              ++k) {
-          right_initials_.push_back(sg_.graph.edge_unchecked(list[k]).dst);
+          plan_nodes_.push_back(sg_.graph.edge_unchecked(list[k]).dst);
         }
+        right.end = mark();
       } else {
-        derive(np + nl, false, right_initials_);
+        right = derive(np + nl, false);
       }
     }
 
-    desired_.clear();
-    new_seg_len_.clear();
+    run.seg_begin = static_cast<std::uint32_t>(segments_.size());
     for (std::int32_t c = kn_lo; c <= kn_hi; ++c) {
       const bool in_run = c >= np && c < np + nl;
       if (c == 0 && in_run) {
-        derive(0, false, first_initials_);  // new first-context initials
-        first_rederived = true;
+        const Bound f = derive(0, false);  // new first-context initials
+        work.first_begin = f.begin;
+        work.first_end = f.end;
+        work.first_rederived = true;
       }
       if (c > kn_lo) {
-        const std::vector<TaskId>* inits = &right_initials_;
-        if (in_run) {
-          derive(c, false, initials_);
-          inits = &initials_;
-        }
+        const Bound to = in_run ? derive(c, false) : right;
         const TimeNs w = tr * context_clbs(cand_sol, r, c);
-        for (TaskId from : terminals_) {
-          for (TaskId to : *inits) {
-            desired_.push_back({from, to, w, SearchEdgeKind::kHwSeq});
-          }
-        }
-        new_seg_len_.push_back(
-            static_cast<std::uint32_t>(terminals_.size() * inits->size()));
+        segments_.push_back({from.begin, from.end, to.begin, to.end, w});
       }
-      if (c < kn_hi && in_run) derive(c, true, terminals_);
+      if (c < kn_hi && in_run) from = derive(c, true);
     }
+    run.seg_end = static_cast<std::uint32_t>(segments_.size());
     if (np == 0 && nl == 0 && has_right) {
       // The run deleted the old first context(s): the right neighbour is
       // the new context 0.
-      first_initials_.assign(right_initials_.begin(), right_initials_.end());
-      first_rederived = true;
+      work.first_begin = right.begin;
+      work.first_end = right.end;
+      work.first_rederived = true;
     }
-    window_edges += last - first;
-    reconcile_window(r, first, last);
+
+    // Describe the run for the gate: its committed window is dropped, and
+    // each planned segment is one terminals x initials chain.
+    for (std::size_t k = first; k < last; ++k) relaxer_.hide_edge(list[k]);
+    for (std::uint32_t g = run.seg_begin; g < run.seg_end; ++g) {
+      const SegmentPlan& seg = segments_[g];
+      relaxer_.add_chain(span_of(seg.from_begin, seg.from_end),
+                         span_of(seg.to_begin, seg.to_end));
+    }
+  }
+  if (work.first_changed && n_new > 0) {
+    work.first_load = tr * context_clbs(cand_sol, r, 0);
+  }
+  rc_work_.push_back(work);
+
+  bounds_computed_ += derived;
+  bounds_reused_ += n_new - derived;
+  clbs_reused_ += n_new - (clbs_computed_ - cold_before);
+}
+
+void IncrementalEvaluator::apply_rc(const RcWork& w, const Solution& cand_sol) {
+  const ResourceId r = w.rc;
+  RcState& st = rc_state(r);
+  if (w.first_changed) {
+    for (TaskId t : st.first_initials) stage_release_pending(t, 0);
+  }
+  auto& list = seq_list(r);
+  const std::size_t n_list = list.size();
+  // Segments before any run still being processed are as committed: runs
+  // go last to first.
+  for (std::uint32_t i = w.edits_end; i-- > w.edits_begin;) {
+    const Solution::ContextEdit& e = edits_[i];
+    if (!e.members_changed) {
+      // Same members, new CLB sums: only the weights of the segments
+      // entering the run's contexts move (and the first load, when the run
+      // starts at context 0) — patched in place, nothing re-derived. The
+      // segments are still indexed as committed (old positions).
+      const auto np = static_cast<std::int32_t>(e.new_pos);
+      const auto nl = static_cast<std::int32_t>(e.new_len);
+      const auto op = static_cast<std::int32_t>(e.old_pos);
+      std::size_t off = st.offset(std::max(op - 1, 0));
+      for (std::int32_t j = op > 0 ? 0 : 1; j < nl; ++j) {
+        const TimeNs weight = w.tr * cand_sol.context_clbs_cached(r, np + j);
+        const std::uint32_t len = st.seg_len[op + j - 1];
+        for (std::uint32_t k = 0; k < len; ++k) {
+          const EdgeId id = list[off + k];
+          if (sg_.graph.edge_weight(id) != weight) stage_seq_weight(id, weight);
+        }
+        off += len;
+      }
+      continue;
+    }
+
+    const RunPlan& run = runs_[i];
+    desired_.clear();
+    new_seg_len_.clear();
+    for (std::uint32_t g = run.seg_begin; g < run.seg_end; ++g) {
+      const SegmentPlan& seg = segments_[g];
+      for (std::uint32_t a = seg.from_begin; a < seg.from_end; ++a) {
+        for (std::uint32_t b = seg.to_begin; b < seg.to_end; ++b) {
+          desired_.push_back({plan_nodes_[a], plan_nodes_[b], seg.weight,
+                              SearchEdgeKind::kHwSeq});
+        }
+      }
+      new_seg_len_.push_back((seg.from_end - seg.from_begin) *
+                             (seg.to_end - seg.to_begin));
+    }
+    reconcile_window(r, run.first, run.last);
 
     // Splice the segment lengths the same way (undo-logged).
-    if (ko_lo == ko_hi && new_seg_len_.empty()) continue;
+    if (run.ko_lo == run.ko_hi && new_seg_len_.empty()) continue;
     SegUndo su;
     su.rc = r;
-    su.pos = static_cast<std::uint32_t>(ko_lo);
+    su.pos = static_cast<std::uint32_t>(run.ko_lo);
     su.n_new = static_cast<std::uint32_t>(new_seg_len_.size());
     su.saved_begin = static_cast<std::uint32_t>(seg_saved_.size());
-    seg_saved_.insert(seg_saved_.end(), st.seg_len.begin() + ko_lo,
-                      st.seg_len.begin() + ko_hi);
+    seg_saved_.insert(seg_saved_.end(), st.seg_len.begin() + run.ko_lo,
+                      st.seg_len.begin() + run.ko_hi);
     su.saved_end = static_cast<std::uint32_t>(seg_saved_.size());
     seg_undo_.push_back(su);
     splice(st.seg_len, su.pos, su.saved_end - su.saved_begin,
            new_seg_len_.begin(), new_seg_len_.end());
   }
   // Edges outside every window stay in place untouched.
-  seq_kept_ += static_cast<std::int64_t>(n_list - window_edges);
+  seq_kept_ += static_cast<std::int64_t>(n_list - w.window_edges);
 
   // First-context releases: the first load moved, or context 0's members.
-  if (first_changed) {
-    if (first_rederived || n_new == 0) {
+  if (w.first_changed) {
+    if (w.first_rederived || w.n_new == 0) {
       FirstUndo fu;
       fu.rc = r;
       fu.saved_begin = static_cast<std::uint32_t>(first_saved_.size());
@@ -524,22 +588,19 @@ void IncrementalEvaluator::reconcile_rc(ResourceId r,
                           st.first_initials.end());
       fu.saved_end = static_cast<std::uint32_t>(first_saved_.size());
       first_undo_.push_back(fu);
-      if (n_new > 0) {
-        st.first_initials.assign(first_initials_.begin(),
-                                 first_initials_.end());
+      if (w.n_new > 0) {
+        st.first_initials.assign(plan_nodes_.begin() + w.first_begin,
+                                 plan_nodes_.begin() + w.first_end);
       } else {
         st.first_initials.clear();
       }
     }
-    if (n_new > 0) {
-      const TimeNs load = tr * context_clbs(cand_sol, r, 0);
-      for (TaskId t : st.first_initials) release_sets_.push_back({t, load});
+    if (w.n_new > 0) {
+      for (TaskId t : st.first_initials) {
+        release_sets_.push_back({t, w.first_load});
+      }
     }
   }
-
-  bounds_computed_ += derived;
-  bounds_reused_ += n_new - derived;
-  clbs_reused_ += n_new - (clbs_computed_ - cold_before);
 }
 
 void IncrementalEvaluator::account_rc(const RcWork& w,
@@ -561,13 +622,11 @@ void IncrementalEvaluator::account_rc(const RcWork& w,
   }
   const std::int32_t total = st.clbs - old_sum + new_sum;
   // Context 0 is unchanged unless the first run starts there (and was
-  // read, hence warm, in phase 2).
-  const bool first_changed =
-      w.edits_begin < w.edits_end && edits_[w.edits_begin].new_pos == 0;
+  // read, hence warm, by the plan).
   std::int32_t first = st.first_clbs;
   if (w.n_new == 0) {
     first = 0;
-  } else if (first_changed) {
+  } else if (w.first_changed) {
     first = cand_sol.context_clbs_cached(w.rc, 0);
   }
   std::int32_t max = 0;
@@ -614,35 +673,6 @@ std::optional<Metrics> IncrementalEvaluator::evaluate_candidate(
   RDSE_REQUIRE(!pending_,
                "IncrementalEvaluator: previous candidate not resolved");
   ++builds_;
-  seeds_.clear();
-  new_edges_.clear();
-  removed_seq_.clear();
-  added_ids_.clear();
-  reconcile_undo_.clear();
-  comm_undo_.clear();
-  node_weight_undo_.clear();
-  release_undo_.clear();
-  side_undo_.clear();
-  dead_resources_.clear();
-  edits_.clear();
-  rc_work_.clear();
-  rc_undo_.clear();
-  seg_undo_.clear();
-  seg_saved_.clear();
-  first_undo_.clear();
-  first_saved_.clear();
-  touched_snapshot_.assign(touched_resources.begin(),
-                           touched_resources.end());
-  snap_.init_reconfig = sg_.init_reconfig;
-  snap_.dyn_reconfig = sg_.dyn_reconfig;
-  snap_.comm_cross = sg_.comm_cross;
-  snap_.n_contexts = sg_.n_contexts;
-  snap_.clbs_loaded = sg_.clbs_loaded;
-  snap_.max_context_clbs = sg_.max_context_clbs;
-  snap_.sw_busy = sw_busy_;
-  snap_.hw_busy = hw_busy_;
-  snap_.sw_tasks = sw_tasks_;
-  snap_.hw_tasks = hw_tasks_;
 
   // Micro-profile phase clock: one running timestamp, advanced at each
   // phase boundary (two clock reads per phase, opt-in).
@@ -656,10 +686,89 @@ std::optional<Metrics> IncrementalEvaluator::evaluate_candidate(
     prof_t = now;
   };
 
-  // ---- 1. moved tasks: node weights, partition sums, incident
-  // communication weights --------------------------------------------------
-  // comm_edge_weight with the memoized bus time (co_located is the shared
-  // crossing predicate, so the two paths cannot drift apart).
+  // ---- plan --------------------------------------------------------------
+  // Each touched resource's candidate chain, read without writing G' and
+  // described to the gate as the committed edges it drops plus the chains
+  // it adds.
+  plans_.clear();
+  edits_.clear();
+  runs_.clear();
+  rc_work_.clear();
+  segments_.clear();
+  plan_nodes_.clear();
+  relaxer_.begin_edit(sg_.graph);
+  for (ResourceId r : touched_resources) {
+    const bool alive = cand_arch.alive(r);
+    const bool is_rc =
+        alive ? cand_arch.resource(r).kind() == ResourceKind::kReconfigurable
+              : r < rc_.size() && rc_[r].contexts > 0;
+    ResourcePlan plan{r, PlanKind::kTeardown, {}, 0};
+    const std::span<const EdgeId> list = chain(r);
+    if (is_rc) {
+      plan.kind = PlanKind::kRc;
+      plan.rc_work = static_cast<std::uint32_t>(rc_work_.size());
+      plan_rc(r, cand_arch, cand_sol);
+    } else if (alive &&
+               cand_arch.resource(r).kind() == ResourceKind::kProcessor) {
+      // The Esw chain is implied by the flat total order: diff against it
+      // directly instead of materializing DesiredEdges.
+      plan.kind = PlanKind::kProcessor;
+      const std::span<const TaskId> order = cand_sol.processor_order(r);
+      const OrderDesired desired{this, order};
+      plan.window = diff_chain(list, desired, 0, list.size());
+      for (std::size_t k = plan.window.prefix;
+           k < list.size() - plan.window.suffix; ++k) {
+        relaxer_.hide_edge(list[k]);
+      }
+      for (std::size_t k = plan.window.prefix;
+           k < desired.size() - plan.window.suffix; ++k) {
+        relaxer_.add_chain(order.subspan(k, 1), order.subspan(k + 1, 1));
+      }
+    } else {
+      // An ASIC, or a removed processor: the chain goes.
+      for (EdgeId e : list) relaxer_.hide_edge(e);
+    }
+    plans_.push_back(plan);
+  }
+  if (profile_) profile_lap(prof_reconcile_ns_);
+
+  // ---- gate: §4.3 — a cyclic candidate "will not be performed" -----------
+  const bool acyclic = relaxer_.gate(sg_.graph);
+  if (profile_) profile_lap(prof_relax_ns_);
+  if (!acyclic) {
+    ++cyclic_unstaged_;
+    return std::nullopt;
+  }
+
+  // ---- apply --------------------------------------------------------------
+  seeds_.clear();
+  removed_seq_.clear();
+  added_ids_.clear();
+  reconcile_undo_.clear();
+  comm_undo_.clear();
+  node_weight_undo_.clear();
+  release_undo_.clear();
+  side_undo_.clear();
+  dead_resources_.clear();
+  rc_undo_.clear();
+  seg_undo_.clear();
+  seg_saved_.clear();
+  first_undo_.clear();
+  first_saved_.clear();
+  snap_.init_reconfig = sg_.init_reconfig;
+  snap_.dyn_reconfig = sg_.dyn_reconfig;
+  snap_.comm_cross = sg_.comm_cross;
+  snap_.n_contexts = sg_.n_contexts;
+  snap_.clbs_loaded = sg_.clbs_loaded;
+  snap_.max_context_clbs = sg_.max_context_clbs;
+  snap_.sw_busy = sw_busy_;
+  snap_.hw_busy = hw_busy_;
+  snap_.sw_tasks = sw_tasks_;
+  snap_.hw_tasks = hw_tasks_;
+
+  // 1. moved tasks: node weights, partition sums, incident communication
+  // weights. comm_edge_weight with the memoized bus time (co_located is the
+  // shared crossing predicate, so the two paths cannot drift apart).
   const auto comm_weight = [&](EdgeId e) -> TimeNs {
     const CommEdge& c = tg_->comm(e);
     return co_located(cand_sol, c.src, c.dst) ? 0 : bus_time_[e];
@@ -700,32 +809,35 @@ std::optional<Metrics> IncrementalEvaluator::evaluate_candidate(
 
   if (profile_) profile_lap(prof_stage_ns_);
 
-  // ---- 2. touched resources: reconcile chains and releases ---------------
-  // Releases are coalesced in release_pending_ and staged once at their
-  // *net* value: first every touched RC whose context 0 changed clears its
-  // old first-context initials, then the new first-context releases land
-  // (release_sets_), so a task migrating between two touched first
-  // contexts ends with the new value whatever the order of the touched
-  // list, and a first context the move left alone stages nothing.
+  // 2. the planned chain surgery and releases. Releases are coalesced in
+  // release_pending_ and staged once at their *net* value: first every
+  // touched RC whose context 0 changed clears its old first-context
+  // initials, then the new first-context releases land (release_sets_), so
+  // a task migrating between two touched first contexts ends with the new
+  // value whatever the order of the touched list, and a first context the
+  // move left alone stages nothing.
   release_pending_.clear();
   release_sets_.clear();
-  for (ResourceId r : touched_snapshot_) {
+  for (const ResourcePlan& plan : plans_) {
     ++reconciles_;
-    const bool alive = cand_arch.alive(r);
-    if (!alive) dead_resources_.push_back(r);  // an m3 move removed it
-    const bool is_rc =
-        alive ? cand_arch.resource(r).kind() == ResourceKind::kReconfigurable
-              : r < rc_.size() && rc_[r].contexts > 0;
-    if (is_rc) {
-      reconcile_rc(r, cand_arch, cand_sol);
-    } else if (alive &&
-               cand_arch.resource(r).kind() == ResourceKind::kProcessor) {
-      // Fast path: the Esw chain is implied by the flat total order, so
-      // diff against it directly instead of materializing DesiredEdges.
-      reconcile_processor_chain(r, cand_sol.processor_order(r));
-    } else {
-      desired_.clear();  // an ASIC, or a removed processor: no chain
-      reconcile_window(r, 0, seq_list(r).size());
+    if (!cand_arch.alive(plan.res)) {
+      dead_resources_.push_back(plan.res);  // an m3 move removed it
+    }
+    switch (plan.kind) {
+      case PlanKind::kRc:
+        apply_rc(rc_work_[plan.rc_work], cand_sol);
+        break;
+      case PlanKind::kProcessor: {
+        const OrderDesired desired{this,
+                                   cand_sol.processor_order(plan.res)};
+        splice_chain(plan.res, desired, 0, seq_list(plan.res).size(),
+                     plan.window);
+        break;
+      }
+      case PlanKind::kTeardown:
+        desired_.clear();
+        reconcile_window(plan.res, 0, seq_list(plan.res).size());
+        break;
     }
   }
   for (const auto& [task, release] : release_sets_) {
@@ -737,7 +849,7 @@ std::optional<Metrics> IncrementalEvaluator::evaluate_candidate(
 
   if (profile_) profile_lap(prof_reconcile_ns_);
 
-  // ---- 3. context accounting: the touched RCs' deltas ----------------------
+  // 3. context accounting: the touched RCs' deltas.
   max_rescan_ = false;
   for (const RcWork& w : rc_work_) account_rc(w, cand_sol);
   if (max_rescan_) {
@@ -749,19 +861,12 @@ std::optional<Metrics> IncrementalEvaluator::evaluate_candidate(
 
   if (profile_) profile_lap(prof_context_ns_);
 
-  // ---- 4. incremental relaxation ------------------------------------------
+  // 4. incremental relaxation on the ranks the gate repaired.
   const WeightedDag dag{&sg_.graph, sg_.node_weight,
                         sg_.graph.edge_weights(), sg_.release};
-  const auto makespan = relaxer_.probe(dag, seeds_, new_edges_);
-  if (profile_) profile_lap(prof_relax_ns_);
-  if (!makespan.has_value()) {
-    rollback();
-    if (profile_) profile_lap(prof_rollback_ns_);
-    return std::nullopt;
-  }
-
   Metrics m;
-  m.makespan = *makespan;
+  m.makespan = relaxer_.relax(dag, seeds_);
+  if (profile_) profile_lap(prof_relax_ns_);
   m.init_reconfig = sg_.init_reconfig;
   m.dyn_reconfig = sg_.dyn_reconfig;
   m.comm_cross = sg_.comm_cross;
@@ -777,9 +882,9 @@ std::optional<Metrics> IncrementalEvaluator::evaluate_candidate(
 }
 
 void IncrementalEvaluator::rollback() {
-  // Restore the relaxer's committed start/finish values first (in-place
-  // candidate layout: a successful probe wrote over them under journal
-  // protection; a cyclic probe journaled nothing, so this is a no-op).
+  // Restore the relaxer's committed start/finish values and ranks first
+  // (in-place candidate layout: the probe wrote over them under journal
+  // protection).
   relaxer_.discard();
   // Undo the chain splices in reverse: each record turns
   // `prefix + added-window + suffix` back into
@@ -869,6 +974,7 @@ IncrementalEvalStats IncrementalEvaluator::stats() const {
   IncrementalEvalStats s;
   s.relax = relaxer_.stats();
   s.builds = builds_;
+  s.cyclic_unstaged = cyclic_unstaged_;
   s.rc_probes = rc_probes_;
   s.bounds_reused = bounds_reused_;
   s.bounds_computed = bounds_computed_;

@@ -4,29 +4,37 @@
 ///
 /// DseProblem::propose historically realized and re-relaxed the whole search
 /// graph for every move. This evaluator instead keeps the committed
-/// realization resident and applies each move as a *delta*:
+/// realization resident and applies each move as a *delta*, in three steps:
 ///
-///  - the committed search graph G' is edited in place — node weights and
-///    communication-edge weights of the moved tasks are updated, and only
-///    the sequentialization edges (Esw/Ehw) and release times of the
-///    resources the move touched are reconciled: a two-pointer chain diff
-///    (common prefix/suffix of the old vs. new per-resource edge chain)
-///    touches only the differing window, so a local reorder costs O(window),
-///    not O(chain);
-///  - reconfigurable circuits are realized context by context: the
-///    candidate's context-edit journal (Solution::context_edits) names the
-///    runs of contexts the move rewrote, and only the Ehw segments around
-///    those runs are rebuilt — changed contexts' initials/terminals from
-///    the Solution's maintained link counts, the unchanged neighbours'
-///    read back from the old segments — and diffed against the old
-///    window. Releases of the first context and the context accounting
-///    (n_contexts, clbs_loaded, max_context_clbs, init/dynamic
-///    reconfiguration) are updated from the runs' deltas, never re-summed
-///    over an RC's other contexts;
-///  - only the affected region of G' is re-relaxed (DeltaRelaxer), seeded
-///    with exactly the nodes whose local inputs changed;
-///  - a rejected candidate is rolled back from an undo log instead of
-///    rebuilding; an accepted one commits in O(1).
+///  1. **plan** — read each touched resource's candidate chain without
+///     writing G'. A processor's is its total order, diffed against the
+///     committed chain by a two-pointer scan (common prefix/suffix), so a
+///     local reorder names an O(window) edit, not O(chain). Reconfigurable
+///     circuits are planned context by context: the candidate's
+///     context-edit journal (Solution::context_edits) names the runs of
+///     contexts the move rewrote, and only the Ehw segments around those
+///     runs are re-planned — changed contexts' initials/terminals from the
+///     Solution's maintained link counts, the unchanged neighbours' read
+///     back from the committed segments;
+///  2. **gate** — decide whether the candidate G' is acyclic (§4.3) from
+///     the committed ranks (DeltaRelaxer::gate): the plan's edit is
+///     described as the committed edges it drops plus the chains it adds
+///     (an Ehw segment as one terminals x initials biclique), and only a
+///     descending chain triggers a Pearce–Kelly search of its rank window.
+///     A cyclic candidate — half of all probes on the paper's Fig. 3
+///     workload — is refused here, having written nothing: no staging, no
+///     surgery, no accounting, no rollback;
+///  3. **apply** — only for an acyclic candidate: G' is edited in place —
+///     node weights and communication-edge weights of the moved tasks, the
+///     planned chain windows (edges outside them, and the window's own
+///     common prefix/suffix, stay put), first-context releases and the
+///     context accounting (n_contexts, clbs_loaded, max_context_clbs,
+///     init/dynamic reconfiguration, updated from the runs' deltas, never
+///     re-summed over an RC's other contexts) — and only the affected
+///     region is re-relaxed (DeltaRelaxer::relax, on the ranks the gate
+///     repaired), seeded with exactly the nodes whose local inputs changed.
+///     A rejected candidate is rolled back from an undo log instead of
+///     rebuilding; an accepted one commits in O(1).
 ///
 /// All scratch storage is pooled, so steady-state proposals allocate
 /// nothing. Results are bit-identical to Evaluator::evaluate, which derives
@@ -46,7 +54,10 @@ namespace rdse {
 /// Counters for benchmarks and tests.
 struct IncrementalEvalStats {
   DeltaRelaxStats relax;
-  std::int64_t builds = 0;  ///< candidate surgeries
+  std::int64_t builds = 0;  ///< candidates evaluated (feasible or cyclic)
+  /// Cyclic candidates refused by the gate before any write to G' (every
+  /// cyclic candidate is; relax.cyclic counts the same probes).
+  std::int64_t cyclic_unstaged = 0;
   /// Touched reconfigurable circuits realized (one per RC per candidate).
   std::int64_t rc_probes = 0;
   /// Per realized RC, its contexts split into those whose boundary was left
@@ -59,26 +70,31 @@ struct IncrementalEvalStats {
   /// (reused) or re-summed over the members of a cold context (computed).
   std::int64_t clbs_reused = 0;
   std::int64_t clbs_computed = 0;
-  std::int64_t reconciles = 0;       ///< per-resource chain diffs performed
-  /// Chain edges matched by the two-pointer prefix/suffix diff (left in
-  /// place, seeding no relaxation) vs. torn down / inserted inside the
-  /// differing window. kept / (kept + removed) is the diff hit rate.
+  /// Per-resource chain edits applied (touched resources of acyclic
+  /// candidates).
+  std::int64_t reconciles = 0;
+  /// Chain edges of acyclic candidates matched by the two-pointer
+  /// prefix/suffix diff (left in place, seeding no relaxation) vs. torn
+  /// down / inserted inside the differing window. kept / (kept + removed)
+  /// is the diff hit rate.
   std::int64_t seq_edges_kept = 0;
   std::int64_t seq_edges_removed = 0;
   std::int64_t seq_edges_added = 0;
   /// Chain edges whose endpoints survived but whose weight changed —
   /// re-weighted in place (counted inside seq_edges_kept) instead of a
-  /// remove + insert pair, so they never enter new_edges or rank repair.
+  /// remove + insert pair, so they never enter the gate or rank repair.
   std::int64_t seq_edges_reweighted = 0;
   /// Opt-in micro-profile (set_profile(true)): cumulative wall time per
   /// evaluation phase, in nanoseconds. All zero while profiling is off —
   /// the headline timings never pay for the clock reads.
-  std::int64_t profile_stage_ns = 0;      ///< phase 1: moved-task staging
-  std::int64_t profile_reconcile_ns = 0;  ///< phase 2: chain diffs + realize
-  std::int64_t profile_context_ns = 0;    ///< phase 3: RC context accounting
-  std::int64_t profile_relax_ns = 0;      ///< phase 4: delta relaxation
-  /// Undoing a candidate: the rollback of a cyclic probe inside
-  /// evaluate_candidate, and discard() of a staged one.
+  std::int64_t profile_stage_ns = 0;  ///< apply: moved-task staging
+  /// Plan (chain reads, processor diffs, RC boundaries) and apply's chain
+  /// surgery.
+  std::int64_t profile_reconcile_ns = 0;
+  std::int64_t profile_context_ns = 0;  ///< apply: RC context accounting
+  /// Gate (acyclicity and rank repair) and apply's delta relaxation.
+  std::int64_t profile_relax_ns = 0;
+  /// discard() of a staged candidate (a cyclic one has nothing to undo).
   std::int64_t profile_rollback_ns = 0;
 };
 
@@ -99,8 +115,8 @@ class IncrementalEvaluator {
   /// contexts it rewrote are read from cand_sol.context_edits(). Like the
   /// touched lists, that journal must span every mutation since the
   /// committed state. Returns std::nullopt when the realized search graph
-  /// is cyclic (the move is infeasible, §4.3) — the committed state is
-  /// already restored in that case.
+  /// would be cyclic (the move is infeasible, §4.3) — decided before
+  /// anything is written, so the committed state is untouched.
   [[nodiscard]] std::optional<Metrics> evaluate_candidate(
       const Architecture& cand_arch, const Solution& cand_sol,
       std::span<const ResourceId> touched_resources,
@@ -123,6 +139,14 @@ class IncrementalEvaluator {
   /// candidate between a successful evaluate_candidate() and its
   /// commit()/discard(). Exposed for tests and debugging.
   [[nodiscard]] const SearchGraph& search_graph() const { return sg_; }
+  /// Sequentialization edge ids of resource `r`, in chain order (empty for
+  /// a resource without a chain). Exposed for tests.
+  [[nodiscard]] std::span<const EdgeId> chain(ResourceId r) const {
+    return r < seq_edges_.size() ? std::span<const EdgeId>(seq_edges_[r])
+                                 : std::span<const EdgeId>();
+  }
+  /// The relaxer (journals, ranks, counters). Exposed for tests.
+  [[nodiscard]] const DeltaRelaxer& relaxer() const { return relaxer_; }
 
  private:
   struct DesiredEdge {
@@ -155,6 +179,12 @@ class IncrementalEvaluator {
     /// Ehw edges per pair of consecutive contexts (contexts - 1 entries):
     /// the chain list of the RC is these segments, in order.
     std::vector<std::uint32_t> seg_len;
+    /// Chain-list offset of segment k.
+    [[nodiscard]] std::size_t offset(std::int32_t k) const {
+      std::size_t off = 0;
+      for (std::int32_t j = 0; j < k; ++j) off += seg_len[j];
+      return off;
+    }
     /// Initials of context 0 — the tasks released at the first load.
     std::vector<TaskId> first_initials;
   };
@@ -163,7 +193,8 @@ class IncrementalEvaluator {
     RcTotals totals;
   };
   /// One touched RC of the candidate: its resolved edit runs
-  /// (edits_[edits_begin, edits_end)) and context counts.
+  /// (edits_[edits_begin, edits_end)), context counts and the plan of its
+  /// first-context releases.
   struct RcWork {
     ResourceId rc;
     std::uint32_t edits_begin;
@@ -171,6 +202,66 @@ class IncrementalEvaluator {
     std::int32_t n_old;
     std::int32_t n_new;
     TimeNs tr;
+    bool first_changed;    ///< a run starts at context 0
+    bool first_rederived;  ///< context 0's initials are plan_nodes_[first_*)
+    std::uint32_t first_begin;
+    std::uint32_t first_end;
+    TimeNs first_load;          ///< candidate load time of context 0
+    std::uint32_t window_edges;  ///< committed chain edges inside the runs
+  };
+  /// Per edit run (parallel to edits_): the committed chain-list window
+  /// [first, last) and segment window [ko_lo, ko_hi) it replaces, and its
+  /// planned segments (segments_[seg_begin, seg_end)). Weight-only runs
+  /// plan no segments.
+  struct RunPlan {
+    std::uint32_t first;
+    std::uint32_t last;
+    std::int32_t ko_lo;
+    std::int32_t ko_hi;
+    std::uint32_t seg_begin;
+    std::uint32_t seg_end;
+  };
+  /// One planned Ehw segment: every task of plan_nodes_[from_begin,
+  /// from_end) (a context's terminals) to every task of [to_begin, to_end)
+  /// (the next context's initials), at the next context's reconfiguration
+  /// time.
+  struct SegmentPlan {
+    std::uint32_t from_begin;
+    std::uint32_t from_end;
+    std::uint32_t to_begin;
+    std::uint32_t to_end;
+    TimeNs weight;
+  };
+  /// The edit of a chain's window [first, last): the leading / trailing
+  /// edges that the desired chain keeps in place.
+  struct ChainWindow {
+    std::size_t prefix = 0;
+    std::size_t suffix = 0;
+  };
+  /// How apply edits one touched resource's chain.
+  enum class PlanKind : std::uint8_t {
+    kProcessor,  ///< `window` of the total-order diff
+    kRc,         ///< rc_work_[rc_work]'s planned runs
+    kTeardown,   ///< an ASIC or a removed processor: no chain
+  };
+  struct ResourcePlan {
+    ResourceId res;
+    PlanKind kind;
+    ChainWindow window;
+    std::uint32_t rc_work;
+  };
+  /// A processor's desired chain, implied by its total order: edge k runs
+  /// order[k] -> order[k+1], always weight 0 / kSwSeq.
+  struct OrderDesired {
+    const IncrementalEvaluator* self;
+    std::span<const TaskId> order;
+    [[nodiscard]] std::size_t size() const {
+      return order.empty() ? 0 : order.size() - 1;
+    }
+    [[nodiscard]] ChainMatch classify(EdgeId id, std::size_t k) const;
+    [[nodiscard]] DesiredEdge get(std::size_t k) const {
+      return {order[k], order[k + 1], 0, SearchEdgeKind::kSwSeq};
+    }
   };
 
   void stage_node_weight(NodeId v, TimeNs w);
@@ -183,27 +274,36 @@ class IncrementalEvaluator {
   /// coalesced values are staged in one pass so a clear-then-reset to the
   /// committed value stages nothing and seeds no relaxation.
   void stage_release_pending(NodeId v, TimeNs r);
-  /// Replace the window [first, last) of resource `r`'s sequentialization
-  /// chain by `desired` via a two-pointer diff: the window's common prefix
-  /// and suffix with the desired edges stay untouched (and seed no
-  /// relaxation); only the edges in between are torn down and re-inserted.
-  /// `Desired` describes the target window (length, per-position equality
-  /// against a live edge, materialization for inserts).
+  /// Two-pointer diff of the window [first, last) of chain `list` against
+  /// `desired`: the window's common prefix and suffix with the desired
+  /// edges. `Desired` describes the target window (length, per-position
+  /// equality against a live edge, materialization for inserts); a
+  /// weight-only match is re-weighted in place, which the processor chains
+  /// diffed by the plan never need.
   template <typename Desired>
-  void reconcile_chain(ResourceId r, const Desired& desired,
-                       std::size_t first, std::size_t last);
-  /// reconcile_chain of a window against the materialized `desired_`.
+  [[nodiscard]] ChainWindow diff_chain(std::span<const EdgeId> list,
+                                       const Desired& desired,
+                                       std::size_t first, std::size_t last);
+  /// Replace the window [first, last) of resource `r`'s chain by `desired`
+  /// through a diffed `window`: its prefix and suffix stay untouched (and
+  /// seed no relaxation); only the edges in between are torn down and
+  /// re-inserted.
+  template <typename Desired>
+  void splice_chain(ResourceId r, const Desired& desired, std::size_t first,
+                    std::size_t last, ChainWindow window);
+  /// diff_chain + splice_chain of a window against the materialized
+  /// `desired_`.
   void reconcile_window(ResourceId r, std::size_t first, std::size_t last);
-  /// reconcile_chain streaming the implied Esw chain straight from the
-  /// processor's flat total-order array (weight 0 / kSwSeq throughout) —
-  /// the hot m1/m2 case materializes nothing.
-  void reconcile_processor_chain(ResourceId r, std::span<const TaskId> order);
-  /// Phase 2 for a touched RC: resolve the candidate's edit runs against
-  /// the committed state, splice each run's Ehw segments, and restage the
-  /// first-context releases when context 0 changed.
-  void reconcile_rc(ResourceId r, const Architecture& cand_arch,
-                    const Solution& cand_sol);
-  /// Phase 3 for a touched RC: context accounting from the runs' deltas.
+  /// Plan for a touched RC: resolve the candidate's edit runs against the
+  /// committed state and derive each membership-changed run's window and
+  /// segments (rc_work_, runs_, segments_, plan_nodes_). Reads G' and the
+  /// committed RC state only.
+  void plan_rc(ResourceId r, const Architecture& cand_arch,
+               const Solution& cand_sol);
+  /// Apply for a touched RC: patch or splice each run's Ehw segments and
+  /// restage the first-context releases when context 0 changed.
+  void apply_rc(const RcWork& w, const Solution& cand_sol);
+  /// Apply for a touched RC: context accounting from the runs' deltas.
   void account_rc(const RcWork& w, const Solution& cand_sol);
   /// CLB sum of a candidate context, warming it (and counting the re-sum)
   /// when it is cold.
@@ -214,6 +314,8 @@ class IncrementalEvaluator {
   /// hot path.
   [[nodiscard]] std::vector<EdgeId>& seq_list(ResourceId r);
   [[nodiscard]] RcState& rc_state(ResourceId r);
+  /// Committed RC state of `r` without growing rc_ (the plan's reads).
+  [[nodiscard]] const RcState& committed_rc(ResourceId r) const;
   void rollback();
 
   const TaskGraph* tg_ = nullptr;
@@ -234,7 +336,6 @@ class IncrementalEvaluator {
 
   // ---- per-candidate scratch and undo log --------------------------------
   std::vector<NodeId> seeds_;
-  std::vector<EdgeId> new_edges_;
   struct RemovedSeqEdge {
     NodeId src;
     NodeId dst;
@@ -271,19 +372,19 @@ class IncrementalEvaluator {
   std::vector<NodeUndo> release_undo_;
   std::vector<NodeUndo> release_pending_;  ///< coalesced release writes
   std::vector<NodeUndo> release_sets_;     ///< new first-context releases
-  std::vector<ResourceId> touched_snapshot_;
   /// Resources removed by the staged move (m3): their chain lists and RC
   /// state are dropped on commit so footprint stays bounded over long
   /// create/remove churn (resource ids are never reused).
   std::vector<ResourceId> dead_resources_;
-  // RC scratch: resolved edit runs, touched RCs, boundary extraction.
+  // Plan: one record per touched resource; for RCs the resolved edit runs,
+  // their windows and segments, and the context boundaries they read.
+  std::vector<ResourcePlan> plans_;
   std::vector<Solution::ContextEdit> edits_;
+  std::vector<RunPlan> runs_;
   std::vector<RcWork> rc_work_;
+  std::vector<SegmentPlan> segments_;
+  std::vector<TaskId> plan_nodes_;
   std::vector<std::uint32_t> new_seg_len_;
-  std::vector<TaskId> terminals_;
-  std::vector<TaskId> initials_;
-  std::vector<TaskId> right_initials_;
-  std::vector<TaskId> first_initials_;
   // RC undo: saved totals, and splices of seg_len / first_initials whose
   // displaced values sit in the *_saved_ pools.
   std::vector<RcTotalsUndo> rc_undo_;
@@ -327,6 +428,7 @@ class IncrementalEvaluator {
   int hw_tasks_ = 0;
 
   std::int64_t builds_ = 0;
+  std::int64_t cyclic_unstaged_ = 0;
   std::int64_t reconciles_ = 0;
   std::int64_t rc_probes_ = 0;
   std::int64_t bounds_reused_ = 0;
@@ -343,7 +445,7 @@ class IncrementalEvaluator {
   std::int64_t seq_removed_ = 0;
   std::int64_t seq_added_ = 0;
   std::int64_t seq_reweighted_ = 0;
-  bool max_rescan_ = false;  ///< phase 3: a touched RC gave up the max
+  bool max_rescan_ = false;  ///< accounting: a touched RC gave up the max
   bool pending_ = false;
 };
 

@@ -4,6 +4,9 @@
 /// window for an adjacent swap, the whole chain for a reversal — while
 /// staying bit-identical to the from-scratch Evaluator, and rollback must
 /// restore the exact chain (order included) so later diffs stay local.
+/// Candidates whose G' would be cyclic (§4.3) are refused before anything
+/// is written: the committed graph, chains and relaxer journal stay as
+/// they were.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +16,9 @@
 #include <tuple>
 #include <vector>
 
+#include "core/moves.hpp"
 #include "core/problem.hpp"
+#include "model/registry.hpp"
 #include "model/generators.hpp"
 #include "sched/evaluator.hpp"
 #include "sched/incremental_eval.hpp"
@@ -325,6 +330,32 @@ std::vector<std::tuple<NodeId, NodeId, TimeNs, SearchEdgeKind>> edge_multiset(
   return out;
 }
 
+/// What a cyclic probe must leave exactly as it was: G''s live edge count
+/// and edge capacity, and every resource's chain as (src, dst, weight) in
+/// chain order.
+struct CommittedChains {
+  std::size_t live_edges = 0;
+  std::size_t edge_capacity = 0;
+  std::vector<std::vector<std::tuple<NodeId, NodeId, TimeNs>>> chains;
+  bool operator==(const CommittedChains&) const = default;
+};
+
+CommittedChains committed_chains(const IncrementalEvaluator& inc,
+                                 std::size_t slots) {
+  const Digraph& g = inc.search_graph().graph;
+  CommittedChains c;
+  c.live_edges = g.edge_count();
+  c.edge_capacity = g.edge_capacity();
+  c.chains.resize(slots);
+  for (ResourceId r = 0; r < slots; ++r) {
+    for (const EdgeId e : inc.chain(r)) {
+      c.chains[r].emplace_back(g.edge(e).src, g.edge(e).dst,
+                               g.edge_weight(e));
+    }
+  }
+  return c;
+}
+
 TEST(ContextRuns, HandMutatedCandidatesMatchFullEvaluation) {
   // Candidates mutated straight through the Solution mutators — several
   // per candidate, spawning, collapsing, swapping and re-implementing
@@ -384,11 +415,20 @@ TEST(ContextRuns, HandMutatedCandidatesMatchFullEvaluation) {
           }
         }
       }
+      const CommittedChains before = committed_chains(inc, arch.slot_count());
       const auto got = inc.evaluate_candidate(
           arch, cand, cand.touched_resources(), cand.touched_tasks());
       const auto want = ev.evaluate(cand);
       ASSERT_EQ(got.has_value(), want.has_value()) << where;
-      if (!got.has_value()) continue;
+      if (!got.has_value()) {
+        // Several edits per candidate: the cycle may close only after the
+        // gate repaired the ranks for an earlier chain, and that repair
+        // must be rolled back with nothing else written.
+        EXPECT_TRUE(committed_chains(inc, arch.slot_count()) == before)
+            << where;
+        EXPECT_EQ(inc.relaxer().journal_size(), 0u) << where;
+        continue;
+      }
       ++evaluated;
       EXPECT_EQ(got->makespan, want->makespan) << where;
       EXPECT_EQ(got->init_reconfig, want->init_reconfig) << where;
@@ -412,6 +452,166 @@ TEST(ContextRuns, HandMutatedCandidatesMatchFullEvaluation) {
     }
   }
   EXPECT_GT(evaluated, 500);
+}
+
+// ---- cyclic probes write nothing -------------------------------------------
+
+void expect_all_metrics_equal(const Metrics& a, const Metrics& b,
+                              const std::string& where) {
+  EXPECT_EQ(a.makespan, b.makespan) << where;
+  EXPECT_EQ(a.init_reconfig, b.init_reconfig) << where;
+  EXPECT_EQ(a.dyn_reconfig, b.dyn_reconfig) << where;
+  EXPECT_EQ(a.comm_cross, b.comm_cross) << where;
+  EXPECT_EQ(a.sw_busy, b.sw_busy) << where;
+  EXPECT_EQ(a.hw_busy, b.hw_busy) << where;
+  EXPECT_EQ(a.n_contexts, b.n_contexts) << where;
+  EXPECT_EQ(a.sw_tasks, b.sw_tasks) << where;
+  EXPECT_EQ(a.hw_tasks, b.hw_tasks) << where;
+  EXPECT_EQ(a.clbs_loaded, b.clbs_loaded) << where;
+  EXPECT_EQ(a.max_context_clbs, b.max_context_clbs) << where;
+}
+
+const std::pair<const char*, std::int32_t> kCyclicModels[] = {
+    {"motion", 100}, {"motion", 1'000}, {"motion", 10'000},
+    {"synthetic:120", 2'000}};
+
+/// Drive `tg` on `arch` through 2000 random §4.2 probes, each compared with
+/// the full evaluator (same metrics, or both cyclic); every cyclic probe
+/// must leave the committed G' (edge count, edge capacity, each chain),
+/// the relaxer journal and everything else untouched. Returns the number
+/// of cyclic probes.
+int drive_cyclic_lockstep(const std::string& label, const TaskGraph& tg,
+                          Architecture arch, std::uint64_t seed) {
+  Rng init(seed);
+  Solution sol = Solution::random_partition(tg, arch, 0, 1, init);
+  IncrementalEvaluator inc(tg);
+  inc.reset(arch, sol);
+  const Evaluator ev(tg, arch);
+
+  Rng rng(seed * 7 + 3);
+  Rng coin(seed ^ 0xC0FFEEu);
+  int probes = 0;
+  int cyclic = 0;
+  for (int move = 0; probes < 2'000 && move < 10'000; ++move) {
+    const std::string where = label + ", move " + std::to_string(move);
+    Solution cand = sol;
+    cand.clear_touched();
+    // p_zero = 0: no move edits the architecture.
+    if (!generate_move(tg, arch, cand, MoveConfig{}, rng).applied) continue;
+    ++probes;
+    const CommittedChains before = committed_chains(inc, arch.slot_count());
+    const IncrementalEvalStats stats_before = inc.stats();
+    const auto got = inc.evaluate_candidate(
+        arch, cand, cand.touched_resources(), cand.touched_tasks());
+    const auto want = ev.evaluate(cand);
+    EXPECT_EQ(got.has_value(), want.has_value()) << where;
+    if (!got.has_value() || !want.has_value()) {
+      ++cyclic;
+      EXPECT_TRUE(committed_chains(inc, arch.slot_count()) == before)
+          << where;
+      EXPECT_EQ(inc.relaxer().journal_size(), 0u) << where;
+      EXPECT_EQ(inc.stats().cyclic_unstaged, stats_before.cyclic_unstaged + 1)
+          << where;
+      if (::testing::Test::HasFailure()) return cyclic;
+      continue;
+    }
+    expect_all_metrics_equal(*got, *want, where);
+    if (::testing::Test::HasFailure()) return cyclic;
+    if (got->makespan <= ev.evaluate(sol)->makespan || coin.bernoulli(0.3)) {
+      inc.commit();
+      sol = cand;
+    } else {
+      inc.discard();
+    }
+  }
+  const IncrementalEvalStats s = inc.stats();
+  EXPECT_GE(probes, 2'000) << label;
+  EXPECT_EQ(s.cyclic_unstaged, s.relax.cyclic) << label;
+  EXPECT_EQ(s.relax.cyclic, cyclic) << label;
+  return cyclic;
+}
+
+TEST(CyclicProbes, RefusedBeforeAnyWriteAndAgreeWithFullEvaluation) {
+  // The Fig. 3 workload — motion detection from many contexts down to
+  // one — and a 120-task graph.
+  for (const auto& [name, clbs] : kCyclicModels) {
+    const ModelSpec spec = load_model_spec(name);
+    const std::string label =
+        std::string(name) + " @ " + std::to_string(clbs) + " CLBs";
+    const int cyclic = drive_cyclic_lockstep(
+        label, spec.app.graph,
+        make_cpu_fpga_architecture(clbs, spec.tr_per_clb,
+                                   spec.bus_bytes_per_second),
+        static_cast<std::uint64_t>(clbs) + 17);
+    EXPECT_GT(cyclic, 0) << label;
+    ASSERT_FALSE(::testing::Test::HasFailure()) << label;
+  }
+}
+
+TEST(CyclicProbes, BatchedProblemRefusesCyclicProbesUnstaged) {
+  // The same through DseProblem with best-of-8 probes, in lockstep with
+  // the full-evaluation reference. A proposal whose every probe was cyclic
+  // must leave G' exactly as committed; across the run every cyclic probe
+  // is one refused before any write.
+  for (const auto& [name, clbs] : kCyclicModels) {
+    const ModelSpec spec = load_model_spec(name);
+    const TaskGraph& tg = spec.app.graph;
+    const Architecture arch = make_cpu_fpga_architecture(
+        clbs, spec.tr_per_clb, spec.bus_bytes_per_second);
+    Rng init(static_cast<std::uint64_t>(clbs) + 29);
+    const Solution initial = Solution::random_partition(tg, arch, 0, 1, init);
+    constexpr int kBatch = 8;
+    DseProblem full(tg, arch, initial, {}, {}, false, /*full_eval=*/true,
+                    kBatch);
+    DseProblem inc(tg, arch, initial, {}, {}, false, /*full_eval=*/false,
+                   kBatch);
+    const IncrementalEvaluator* ev = inc.incremental_evaluator();
+    ASSERT_NE(ev, nullptr);
+
+    Rng r_full(static_cast<std::uint64_t>(clbs) * 11 + 5);
+    Rng r_inc(static_cast<std::uint64_t>(clbs) * 11 + 5);
+    Rng coin(static_cast<std::uint64_t>(clbs) ^ 0xBA7Cu);
+    std::int64_t all_cyclic_proposals = 0;
+    for (int step = 0; step < 300; ++step) {
+      const std::string where = std::string(name) + " @ " +
+                                std::to_string(clbs) + " CLBs, step " +
+                                std::to_string(step);
+      const CommittedChains before = committed_chains(*ev, arch.slot_count());
+      const IncrementalEvalStats stats_before = ev->stats();
+      const bool a = full.propose(r_full);
+      const bool b = inc.propose(r_inc);
+      ASSERT_EQ(a, b) << where;
+      const IncrementalEvalStats s = ev->stats();
+      EXPECT_EQ(s.cyclic_unstaged - stats_before.cyclic_unstaged,
+                s.relax.cyclic - stats_before.relax.cyclic)
+          << where;
+      if (s.relax.probes > stats_before.relax.probes &&
+          s.relax.cyclic - stats_before.relax.cyclic ==
+              s.relax.probes - stats_before.relax.probes) {
+        ++all_cyclic_proposals;
+        EXPECT_FALSE(b) << where;
+        EXPECT_TRUE(committed_chains(*ev, arch.slot_count()) == before)
+            << where;
+        EXPECT_EQ(ev->relaxer().journal_size(), 0u) << where;
+      }
+      ASSERT_FALSE(::testing::Test::HasFailure()) << where;
+      if (!a) continue;
+      ASSERT_EQ(full.candidate_cost(), inc.candidate_cost()) << where;
+      if (inc.candidate_cost() <= inc.cost() || coin.bernoulli(0.3)) {
+        full.accept();
+        inc.accept();
+        expect_all_metrics_equal(full.current_metrics(),
+                                 inc.current_metrics(), where);
+      } else {
+        full.reject();
+        inc.reject();
+      }
+    }
+    const IncrementalEvalStats s = ev->stats();
+    EXPECT_GT(s.relax.cyclic, 0) << name << " @ " << clbs;
+    EXPECT_EQ(s.cyclic_unstaged, s.relax.cyclic) << name << " @ " << clbs;
+    EXPECT_GT(all_cyclic_proposals, 0) << name << " @ " << clbs;
+  }
 }
 
 }  // namespace

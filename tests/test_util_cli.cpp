@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string_view>
@@ -216,6 +217,20 @@ TEST(RdseCli, NegativeBudgetsAreRejectedAtTheFrontDoor) {
                        "option --iters"));
   EXPECT_TRUE(rejected(run_cli({"bench", "--mappers=hill_climb", "--iters=-5"}),
                        "option --iters"));
+  // A negative thread count is refused before any pool is sized (it used
+  // to wrap to 4294967295 threads).
+  EXPECT_TRUE(rejected(run_cli({"explore", "--model", "motion", "--runs", "2",
+                                "--threads", "-1"}),
+                       "option --threads"));
+  EXPECT_TRUE(rejected(run_cli({"bench", "--mappers", "heft", "--runs", "1",
+                                "--threads=-1"}),
+                       "option --threads"));
+  EXPECT_TRUE(rejected(run_cli({"sweep", "--dry-run", "--threads", "-3"}),
+                       "option --threads"));
+  ASSERT_EQ(::setenv("RDSE_THREADS", "-2", 1), 0);
+  const CliOutcome from_env = run_cli({"sweep", "--dry-run"});
+  ::unsetenv("RDSE_THREADS");
+  EXPECT_TRUE(rejected(from_env, "option --threads"));
 }
 
 TEST(RdseCli, ExploreAggregatesRepeatedRuns) {
@@ -527,6 +542,40 @@ TEST(RdseCli, CompareFlagsHigherIsBetterRegression) {
   const CliOutcome r = run_cli({"compare", base.c_str(), cur.c_str()});
   EXPECT_EQ(r.status, 1);
   EXPECT_NE(r.out.find("evaluated_move_speedup"), std::string::npos);
+}
+
+TEST(RdseCli, CompareGatesCountersExactlyAndTimingsByTolerance) {
+  // One bench row with a timing and a deterministic counter.
+  const auto write = [](const std::string& name, double eval_ns,
+                        double relaxed) {
+    JsonValue row = JsonValue::object();
+    row.set("model", "motion_detection");
+    row.set("incremental_ns_per_evaluated_move", eval_ns);
+    row.set("relaxed_nodes_per_probe", relaxed);
+    JsonValue results = JsonValue::array();
+    results.push_back(std::move(row));
+    JsonValue doc = JsonValue::object();
+    doc.set("schema", "rdse.bench.v1");
+    doc.set("results", std::move(results));
+    const std::string path = temp_path(name);
+    std::ofstream file(path);
+    file << doc.dump(2) << "\n";
+    return path;
+  };
+  const std::string base = write("cmp-exact-base.json", 1500.0, 20.0);
+  // A timing 2x slower passes a 4x gate...
+  const std::string slower = write("cmp-exact-slow.json", 3000.0, 20.0);
+  const CliOutcome timing =
+      run_cli({"compare", base.c_str(), slower.c_str(), "--tolerance", "3"});
+  EXPECT_EQ(timing.status, 0) << timing.err;
+  // ...but a counter off by 1% fails it, in either direction.
+  for (const double relaxed : {20.2, 19.8}) {
+    const std::string moved = write("cmp-exact-moved.json", 1500.0, relaxed);
+    const CliOutcome counter = run_cli(
+        {"compare", base.c_str(), moved.c_str(), "--tolerance", "3"});
+    EXPECT_EQ(counter.status, 1) << relaxed;
+    EXPECT_NE(counter.out.find("CHANGED"), std::string::npos);
+  }
 }
 
 TEST(RdseCli, CompareRejectsSchemaMismatchAndMissingEntries) {
