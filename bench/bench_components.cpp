@@ -1,18 +1,21 @@
 /// \file bench_components.cpp
 /// \brief EXP-M1 — google-benchmark microbenchmarks of the engine's moving
 /// parts: search-graph realization, full longest-path evaluation, the
-/// incremental engine (the paper's Woodbury-style update, §4.4), transitive
-/// closure maintenance (the §4.3 O(1) cycle test), move generation and the
-/// GA decoder. Establishes that full re-evaluation at paper scale costs
-/// microseconds — which is why the reference implementation favours the
-/// simple rebuild-per-move design — and quantifies what the incremental
-/// path saves for localized updates.
+/// DeltaRelaxer probe (the paper's Woodbury-style update, §4.4) and its
+/// cycle gate (the §4.3 cycle test), move generation and the GA decoder.
+/// Establishes that full re-evaluation at paper scale costs microseconds and
+/// quantifies what the incremental path saves for localized updates. Each
+/// DeltaRelaxer benchmark checks its result once against longest_path()
+/// before timing and aborts on a mismatch.
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
+#include <cstdlib>
+
 #include "baseline/genetic.hpp"
 #include "core/moves.hpp"
-#include "graph/closure.hpp"
+#include "graph/topo.hpp"
 #include "model/motion_detection.hpp"
 #include "sched/evaluator.hpp"
 #include "sched/incremental.hpp"
@@ -67,48 +70,76 @@ void BM_LongestPathFull(benchmark::State& state) {
 }
 BENCHMARK(BM_LongestPathFull);
 
-void BM_IncrementalWeightUpdate(benchmark::State& state) {
-  auto& s = setup();
-  const SearchGraph sg = build_search_graph(s.app.graph, s.arch, s.solution);
-  IncrementalLongestPath inc(
-      sg.graph,
-      std::vector<TimeNs>(sg.node_weight.begin(), sg.node_weight.end()),
-      std::vector<TimeNs>(sg.graph.edge_weights().begin(),
-                          sg.graph.edge_weights().end()),
-      std::vector<TimeNs>(sg.release.begin(), sg.release.end()));
-  TimeNs w = sg.node_weight[5];
-  for (auto _ : state) {
-    w = (w == sg.node_weight[5]) ? sg.node_weight[5] + from_us(50)
-                                 : sg.node_weight[5];
-    inc.set_node_weight(5, w);
-    benchmark::DoNotOptimize(inc.makespan());
+/// Aborts the benchmark binary: a timed engine that disagrees with the
+/// reference longest path measures nothing worth reporting.
+void require(bool ok, const char* what) {
+  if (!ok) {
+    std::fprintf(stderr, "bench_components: %s\n", what);
+    std::abort();
   }
 }
-BENCHMARK(BM_IncrementalWeightUpdate);
 
-void BM_ClosureBuild(benchmark::State& state) {
+/// §4.4 on the code the annealer runs: one DeltaRelaxer probe of a node
+/// weight change, then discard() (the rejected-move rollback).
+void BM_DeltaRelaxerWeightProbe(benchmark::State& state) {
   auto& s = setup();
   const SearchGraph sg = build_search_graph(s.app.graph, s.arch, s.solution);
+  const WeightedDag committed{&sg.graph, sg.node_weight,
+                              sg.graph.edge_weights(), sg.release};
+  std::vector<TimeNs> weight = sg.node_weight;
+  weight[5] += from_us(50);
+  const WeightedDag cand{&sg.graph, weight, sg.graph.edge_weights(),
+                         sg.release};
+  const NodeId seed = 5;
+  DeltaRelaxer relaxer;
+  relaxer.reset(committed);
+  require(relaxer.probe(cand, {&seed, 1}, {}) == longest_path(cand).makespan,
+          "DeltaRelaxer probe disagrees with longest_path");
+  relaxer.discard();
   for (auto _ : state) {
-    TransitiveClosure tc;
-    tc.build(sg.graph);
-    benchmark::DoNotOptimize(tc);
+    benchmark::DoNotOptimize(relaxer.probe(cand, {&seed, 1}, {}));
+    relaxer.discard();
   }
 }
-BENCHMARK(BM_ClosureBuild);
+BENCHMARK(BM_DeltaRelaxerWeightProbe);
 
-void BM_ClosureCycleProbe(benchmark::State& state) {
+/// §4.3 on the code the annealer runs: the cycle gate of one added edge
+/// that descends across the whole committed ranking (last-ranked node ->
+/// first-ranked node), so the Pearce–Kelly window spans the graph. On this
+/// mapping the first node reaches the last, so what is timed is the
+/// refusal of a cycle-closing move.
+void BM_DeltaRelaxerCycleGate(benchmark::State& state) {
   auto& s = setup();
   const SearchGraph sg = build_search_graph(s.app.graph, s.arch, s.solution);
-  TransitiveClosure tc;
-  tc.build(sg.graph);
-  NodeId u = 0;
+  const WeightedDag dag{&sg.graph, sg.node_weight, sg.graph.edge_weights(),
+                        sg.release};
+  const std::vector<NodeId> order = *topological_order(sg.graph);
+  const NodeId src = order.back();
+  const NodeId dst = order.front();
+  DeltaRelaxer relaxer;
+  relaxer.reset(dag);
+  const auto gate = [&] {
+    relaxer.begin_edit(sg.graph);
+    relaxer.add_chain({&src, 1}, {&dst, 1});
+    return relaxer.gate(sg.graph);
+  };
+  // The reference: longest_path on the edited graph throws iff it is cyclic.
+  Digraph edited = sg.graph;
+  edited.add_edge(src, dst);
+  const std::vector<TimeNs> edge_weight(edited.edge_capacity(), 0);
+  bool acyclic = true;
+  try {
+    (void)longest_path(
+        WeightedDag{&edited, sg.node_weight, edge_weight, sg.release});
+  } catch (const Error&) {
+    acyclic = false;
+  }
+  require(gate() == acyclic, "DeltaRelaxer gate disagrees with longest_path");
   for (auto _ : state) {
-    u = (u + 1) % 28;
-    benchmark::DoNotOptimize(tc.would_create_cycle(u, (u + 13) % 28));
+    benchmark::DoNotOptimize(gate());
   }
 }
-BENCHMARK(BM_ClosureCycleProbe);
+BENCHMARK(BM_DeltaRelaxerCycleGate);
 
 void BM_MoveGenerateAndEvaluate(benchmark::State& state) {
   auto& s = setup();

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -211,13 +212,29 @@ ExplorerConfig base_config(const Options& opts, std::int64_t default_iters) {
   return config;
 }
 
-/// --threads / RDSE_THREADS (0 = hardware). A negative count must not wrap
-/// to a huge unsigned one: the sweep engine caps its pool only at the job
-/// count.
+/// Integer option --NAME (or `env_name`) as a T: refused below `min` with
+/// `below_min`, and refused when T cannot hold it — a narrowing cast would
+/// turn 2^32 + 1 runs into one run and -1 threads into 2^32 - 1.
+template <typename T>
+T get_int_as(const Options& opts, const std::string& name,
+             std::int64_t fallback,
+             std::int64_t min = std::numeric_limits<std::int64_t>::min(),
+             std::string_view below_min = {},
+             const std::string& env_name = "") {
+  const std::int64_t value = opts.get_int(name, fallback, env_name);
+  RDSE_REQUIRE(value >= min,
+               "option --" + name + ": " + std::string(below_min));
+  RDSE_REQUIRE(std::in_range<T>(value),
+               "option --" + name + ": " + std::to_string(value) +
+                   " is out of range");
+  return static_cast<T>(value);
+}
+
+/// --threads / RDSE_THREADS (0 = hardware). The sweep engine caps its pool
+/// only at the job count, so the count is checked here.
 unsigned thread_count(const Options& opts) {
-  const std::int64_t threads = opts.get_int("threads", 0, "RDSE_THREADS");
-  RDSE_REQUIRE(threads >= 0, "option --threads: negative thread count");
-  return static_cast<unsigned>(threads);
+  return get_int_as<unsigned>(opts, "threads", 0, 0, "negative thread count",
+                              "RDSE_THREADS");
 }
 
 void write_artifact(const std::string& path, const JsonValue& doc,
@@ -361,15 +378,14 @@ int cmd_explore(const Options& opts, std::ostream& out) {
   require_no_positionals(opts);
 
   const ModelSpec model = load_model(opts);
-  const auto clbs = static_cast<std::int32_t>(opts.get_int("clbs", 2'000));
-  const int runs = static_cast<int>(opts.get_int("runs", 1));
+  const auto clbs = get_int_as<std::int32_t>(opts, "clbs", 2'000);
+  const int runs = get_int_as<int>(opts, "runs", 1, 0, "negative run count");
   const unsigned threads = thread_count(opts);
   const bool quiet = opts.get_flag("quiet");
   const std::string checkpoint_path = opts.get_string("checkpoint", "");
   const std::int64_t checkpoint_every =
       opts.get_int("checkpoint-every", 1'000);
   const std::string json_path = opts.get_string("json", "");
-  RDSE_REQUIRE(runs >= 0, "option --runs: negative run count");
   RDSE_REQUIRE(checkpoint_every >= 1,
                "option --checkpoint-every: need at least one iteration");
   RDSE_REQUIRE(checkpoint_path.empty() || runs == 1,
@@ -380,8 +396,8 @@ int cmd_explore(const Options& opts, std::ostream& out) {
   ExplorerConfig config = base_config(opts, 20'000);
   config.schedule =
       parse_schedule(opts.get_string("schedule", "modified-lam"));
-  config.batch = static_cast<int>(opts.get_int("batch", 1));
-  RDSE_REQUIRE(config.batch >= 1, "option --batch: need at least one probe");
+  config.batch =
+      get_int_as<int>(opts, "batch", 1, 1, "need at least one probe");
   config.record_trace = runs == 1 && checkpoint_path.empty();
 
   const Architecture arch = make_cpu_fpga_architecture(
@@ -457,12 +473,12 @@ int cmd_bench(const Options& opts, std::ostream& out) {
   require_no_positionals(opts);
 
   const ModelSpec model = load_model(opts);
-  const auto clbs = static_cast<std::int32_t>(opts.get_int("clbs", 2'000));
-  const int runs = static_cast<int>(opts.get_int("runs", 3));
+  const auto clbs = get_int_as<std::int32_t>(opts, "clbs", 2'000);
+  const int runs = get_int_as<int>(opts, "runs", 3, 1,
+                                   "need at least one run per mapper");
   const unsigned threads = thread_count(opts);
   const bool quiet = opts.get_flag("quiet");
   const std::string prefix = opts.get_string("json-prefix", "");
-  RDSE_REQUIRE(runs >= 1, "option --runs: need at least one run per mapper");
 
   MapperMatrixSpec spec;
   const std::string csv = opts.get_string("mappers", "");
@@ -504,12 +520,11 @@ int cmd_sweep(const Options& opts, std::ostream& out) {
 
   const ModelSpec model = load_model(opts);
   const std::string axis = opts.get_string("axis", "device-size");
-  const int runs = static_cast<int>(opts.get_int("runs", 5));
+  const int runs = get_int_as<int>(opts, "runs", 5, 0, "negative run count");
   const unsigned threads = thread_count(opts);
   const bool dry_run = opts.get_flag("dry-run");
   const bool quiet = opts.get_flag("quiet");
   const std::string json_path = opts.get_string("json", "");
-  RDSE_REQUIRE(runs >= 0, "option --runs: negative run count");
 
   const ExplorerConfig config = base_config(opts, 15'000);
 
@@ -523,7 +538,7 @@ int cmd_sweep(const Options& opts, std::ostream& out) {
                              model.bus_bytes_per_second, config, runs,
                              model.app.deadline);
   } else if (axis == "schedule") {
-    const auto clbs = static_cast<std::int32_t>(opts.get_int("clbs", 2'000));
+    const auto clbs = get_int_as<std::int32_t>(opts, "clbs", 2'000);
     std::vector<ScheduleKind> kinds;
     for (const std::string& name : split_csv(opts.get_string(
              "schedules", "modified-lam,lam-delosme,geometric,greedy"))) {
@@ -733,8 +748,13 @@ PairReport pair_bench_metrics(const JsonValue& base, const JsonValue& cur) {
                 report);
     // Deterministic counters: same --moves/--seed, same value on any host.
     for (const char* counter :
-         {"relaxed_nodes_per_probe", "makespan_rescan_rate",
-          "seq_diff_hit_rate", "cyclic_probe_rate"}) {
+         {"relaxed_nodes_per_probe", "relax_reduction",
+          "journal_entries_per_probe", "makespan_rescan_rate",
+          "cyclic_probe_rate", "rank_refresh_rate",
+          "rank_repair_nodes_per_probe", "seq_diff_hit_rate",
+          "seq_edges_added_per_eval", "seq_edges_reweighted_per_eval",
+          "bounds_reuse_rate", "clbs_reuse_rate", "clbs_delta_hits",
+          "clbs_delta_misses", "contexts_rederived_per_rc_probe"}) {
       pair_metric(br, *cr, model, counter, Gate::kExact, report);
     }
   }
@@ -894,23 +914,23 @@ int cmd_serve(const Options& opts, std::ostream& out) {
   config.socket_path = opts.get_string("socket", "", "RDSE_SOCKET");
   RDSE_REQUIRE(!config.socket_path.empty(),
                "serve: pass the socket path via --socket PATH");
-  const std::int64_t workers = opts.get_int("workers", 2);
+  const auto workers =
+      get_int_as<unsigned>(opts, "workers", 2, 1, "need at least one worker");
   const std::int64_t queue = opts.get_int("queue", 16);
   const std::int64_t cache = opts.get_int("cache", 128);
-  const std::int64_t run_threads = opts.get_int("run-threads", 1);
+  const auto run_threads =
+      get_int_as<unsigned>(opts, "run-threads", 1, 0, "negative count");
   const std::int64_t idle_ms = opts.get_int("idle-timeout-ms", 30'000);
   const std::int64_t max_conns = opts.get_int("max-conns", 64);
-  RDSE_REQUIRE(workers >= 1, "option --workers: need at least one worker");
   RDSE_REQUIRE(queue >= 0, "option --queue: negative queue capacity");
   RDSE_REQUIRE(cache >= 0, "option --cache: negative cache capacity");
-  RDSE_REQUIRE(run_threads >= 0, "option --run-threads: negative count");
   RDSE_REQUIRE(idle_ms >= 0, "option --idle-timeout-ms: negative timeout");
   RDSE_REQUIRE(max_conns >= 1,
                "option --max-conns: need at least one connection");
-  config.service.workers = static_cast<unsigned>(workers);
+  config.service.workers = workers;
   config.service.queue_capacity = static_cast<std::size_t>(queue);
   config.service.cache_capacity = static_cast<std::size_t>(cache);
-  config.service.run_threads = static_cast<unsigned>(run_threads);
+  config.service.run_threads = run_threads;
   config.service.max_iterations = opts.get_int("max-iters", 1'000'000);
   RDSE_REQUIRE(config.service.max_iterations >= 1,
                "option --max-iters: need a positive cap");

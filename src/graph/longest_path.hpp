@@ -13,7 +13,8 @@
 ///  - full(): one forward pass in topological order, O(V + E);
 ///  - Incremental recomputation from a set of "dirty" nodes whose
 ///    inputs changed (the role the paper assigns to its Woodbury-type
-///    update [4]) — see sched/incremental.hpp for the stateful wrapper.
+///    update [4]) — DeltaRelaxer in sched/incremental.hpp, which keeps
+///    the committed values and ranks between annealing moves.
 
 #include <span>
 #include <vector>

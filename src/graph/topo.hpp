@@ -27,8 +27,9 @@ namespace rdse {
 [[nodiscard]] std::vector<NodeId> source_nodes(const Digraph& g);
 [[nodiscard]] std::vector<NodeId> sink_nodes(const Digraph& g);
 
-/// DFS reachability: true iff a path from `from` to `to` exists
-/// (used as the reference implementation for the closure matrix).
+/// DFS reachability: true iff a path from `from` to `to` exists (reflexive:
+/// true when from == to). TaskGraph refuses cyclic dependencies with it,
+/// and the DeltaRelaxer cycle-gate tests use it as their reference.
 [[nodiscard]] bool reaches(const Digraph& g, NodeId from, NodeId to);
 
 }  // namespace rdse

@@ -231,6 +231,31 @@ TEST(RdseCli, NegativeBudgetsAreRejectedAtTheFrontDoor) {
   const CliOutcome from_env = run_cli({"sweep", "--dry-run"});
   ::unsetenv("RDSE_THREADS");
   EXPECT_TRUE(rejected(from_env, "option --threads"));
+  // A value the target type cannot hold is refused, not wrapped: each of
+  // these used to narrow silently (2^32 + 1 -> 1, 2^32 + 2000 -> 2000).
+  EXPECT_TRUE(rejected(run_cli({"explore", "--runs", "0", "--clbs",
+                                "4294969296"}),
+                       "option --clbs"));
+  EXPECT_TRUE(rejected(run_cli({"explore", "--runs", "4294967297", "--iters",
+                                "10", "--warmup", "0", "--quiet"}),
+                       "option --runs"));
+  EXPECT_TRUE(rejected(run_cli({"explore", "--runs", "0", "--batch",
+                                "4294967297"}),
+                       "option --batch"));
+  EXPECT_TRUE(rejected(run_cli({"bench", "--mappers", "heft", "--runs",
+                                "4294967297", "--quiet"}),
+                       "option --runs"));
+  EXPECT_TRUE(rejected(run_cli({"bench", "--mappers", "heft", "--runs", "1",
+                                "--clbs", "4294969296", "--quiet"}),
+                       "option --clbs"));
+  EXPECT_TRUE(rejected(run_cli({"sweep", "--dry-run", "--runs", "4294967297"}),
+                       "option --runs"));
+  EXPECT_TRUE(rejected(run_cli({"sweep", "--dry-run", "--axis", "schedule",
+                                "--clbs", "4294969296"}),
+                       "option --clbs"));
+  EXPECT_TRUE(rejected(run_cli({"sweep", "--dry-run", "--threads",
+                                "4294967297"}),
+                       "option --threads"));
 }
 
 TEST(RdseCli, ExploreAggregatesRepeatedRuns) {
@@ -547,11 +572,12 @@ TEST(RdseCli, CompareFlagsHigherIsBetterRegression) {
 TEST(RdseCli, CompareGatesCountersExactlyAndTimingsByTolerance) {
   // One bench row with a timing and a deterministic counter.
   const auto write = [](const std::string& name, double eval_ns,
-                        double relaxed) {
+                        double relaxed,
+                        const char* counter = "relaxed_nodes_per_probe") {
     JsonValue row = JsonValue::object();
     row.set("model", "motion_detection");
     row.set("incremental_ns_per_evaluated_move", eval_ns);
-    row.set("relaxed_nodes_per_probe", relaxed);
+    row.set(counter, relaxed);
     JsonValue results = JsonValue::array();
     results.push_back(std::move(row));
     JsonValue doc = JsonValue::object();
@@ -575,6 +601,21 @@ TEST(RdseCli, CompareGatesCountersExactlyAndTimingsByTolerance) {
         {"compare", base.c_str(), moved.c_str(), "--tolerance", "3"});
     EXPECT_EQ(counter.status, 1) << relaxed;
     EXPECT_NE(counter.out.find("CHANGED"), std::string::npos);
+  }
+  // Every other deterministic counter of the hot-path bench is gated the
+  // same way.
+  for (const char* name :
+       {"relax_reduction", "journal_entries_per_probe", "makespan_rescan_rate",
+        "cyclic_probe_rate", "rank_refresh_rate", "rank_repair_nodes_per_probe",
+        "seq_diff_hit_rate", "seq_edges_added_per_eval",
+        "seq_edges_reweighted_per_eval", "bounds_reuse_rate",
+        "clbs_reuse_rate", "clbs_delta_hits", "clbs_delta_misses",
+        "contexts_rederived_per_rc_probe"}) {
+    const std::string b = write("cmp-exact-cbase.json", 1500.0, 20.0, name);
+    const std::string c = write("cmp-exact-cmoved.json", 1500.0, 20.2, name);
+    const CliOutcome moved =
+        run_cli({"compare", b.c_str(), c.c_str(), "--tolerance", "3"});
+    EXPECT_EQ(moved.status, 1) << name;
   }
 }
 
