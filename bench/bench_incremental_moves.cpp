@@ -5,18 +5,21 @@
 /// Drives the same move sequence (bit-identical decisions) through a
 /// full_eval problem and an incremental one and reports per-move wall time,
 /// the number of re-relaxed nodes per evaluated candidate, the chain-diff
-/// hit rate, the makespan-rescan rate and the share of probes refused as
-/// §4.3-cyclic. Self-contained (no Google
-/// Benchmark) so the CI bench-smoke stage can always build and run it;
-/// --json writes the results as a stable rdse.bench.v1 artifact
-/// (BENCH_hotpath.json in CI) that `rdse compare` diffs against the
-/// committed baseline: its timings within a generous tolerance (catching
-/// order-of-magnitude hot-path regressions), its deterministic counters at
-/// equality.
+/// hit rate, the makespan-rescan rate, the share of probes refused as
+/// §4.3-cyclic and the share the precedence pre-gate refused before any
+/// plan. Self-contained (no Google Benchmark) so the CI bench-smoke stage
+/// can always build and run it; --json writes the results as a stable
+/// rdse.bench.v1 artifact (BENCH_hotpath.json in CI) that `rdse compare`
+/// diffs against the committed baseline: its timings within a generous
+/// tolerance (catching order-of-magnitude hot-path regressions), its
+/// deterministic counters at equality.
 ///
 /// Models: motion detection at 2000 CLBs (about one context) and at 100
 /// CLBs (the many-context end of the Fig. 3 sweep, about ten contexts),
-/// and a 120-task synthetic graph.
+/// a 120-task synthetic graph, and the registry's synthetic:1000 and
+/// synthetic:5000 models at 2000 CLBs. The two large ones run a fixed
+/// budget of kScaleMoves moves instead of --moves: a 5000-task full
+/// evaluation costs tens of milliseconds.
 ///
 /// Knobs: --moves N (default 20000), --seed S, --repeat R (default 3),
 /// --json PATH. Each model's full/incremental pair is driven R times and
@@ -34,12 +37,16 @@
 #include "core/problem.hpp"
 #include "model/generators.hpp"
 #include "model/motion_detection.hpp"
+#include "model/registry.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
 
 using namespace rdse;
 
 namespace {
+
+/// Moves per run of the synthetic:1000 and synthetic:5000 rows.
+constexpr std::int64_t kScaleMoves = 400;
 
 struct DriveResult {
   double ns_per_move = 0.0;       ///< whole loop / all proposals
@@ -109,8 +116,11 @@ struct ModelReport {
   double rank_refresh_rate = 0.0;
   double rank_repair_nodes_per_probe = 0.0;  ///< Pearce–Kelly reorder cost
   double makespan_rescan_rate = 0.0;  ///< probes that fell back to O(V) scan
-  /// Probes refused as §4.3-cyclic — by the gate, before any write to G'.
+  /// Probes refused as §4.3-cyclic — before any write to G'.
   double cyclic_probe_rate = 0.0;
+  /// Probes the precedence pre-gate refused (a context-order violation),
+  /// before any plan or rank search: a share of cyclic_probe_rate.
+  double precedence_refused_rate = 0.0;
   double seq_diff_hit_rate = 0.0;     ///< chain edges kept / chain edges seen
   double seq_edges_added_per_eval = 0.0;
   double seq_edges_reweighted_per_eval = 0.0;  ///< in-place weight patches
@@ -193,6 +203,9 @@ ModelReport compare(const std::string& name, const TaskGraph& tg,
         static_cast<double>(stats->relax.probes);
     rep.cyclic_probe_rate = static_cast<double>(stats->relax.cyclic) /
                             static_cast<double>(stats->relax.probes);
+    rep.precedence_refused_rate =
+        static_cast<double>(stats->precedence_refused) /
+        static_cast<double>(stats->relax.probes);
     const auto clbs = stats->clbs_reused + stats->clbs_computed;
     rep.clbs_reuse_rate =
         clbs > 0 ? static_cast<double>(stats->clbs_reused) /
@@ -245,18 +258,20 @@ ModelReport compare(const std::string& name, const TaskGraph& tg,
 
 void print_table(const std::vector<ModelReport>& reports) {
   std::printf(
-      "\n%-24s %5s | %8s %8s %7s | %9s %9s %7s | %8s %7s %6s %6s %6s\n",
+      "\n%-24s %5s | %8s %8s %7s | %9s %9s %7s | %8s %7s %6s %6s %6s "
+      "%6s\n",
       "model", "tasks", "full/mv", "inc/mv", "speedup", "full/eval",
-      "inc/eval", "evalspd", "relax/ev", "jrnl/ev", "diff%", "scan%", "cyc%");
+      "inc/eval", "evalspd", "relax/ev", "jrnl/ev", "diff%", "scan%", "cyc%",
+      "pre%");
   for (const ModelReport& r : reports) {
     std::printf(
         "%-24s %5zu | %7.0fn %7.0fn %6.2fx | %8.0fn %8.0fn %6.2fx | "
-        "%8.2f %7.2f %5.1f%% %5.1f%% %5.1f%%\n",
+        "%8.2f %7.2f %5.1f%% %5.1f%% %5.1f%% %5.1f%%\n",
         r.model.c_str(), r.tasks, r.full_ns_per_move, r.inc_ns_per_move,
         r.speedup, r.full_ns_per_eval, r.inc_ns_per_eval, r.eval_speedup,
         r.relaxed_per_probe, r.journal_entries_per_probe,
         100.0 * r.seq_diff_hit_rate, 100.0 * r.makespan_rescan_rate,
-        100.0 * r.cyclic_probe_rate);
+        100.0 * r.cyclic_probe_rate, 100.0 * r.precedence_refused_rate);
   }
   std::printf("%-24s | %10s %10s %10s %10s %10s | %9s %9s %8s\n",
               "micro-profile", "stage/ev", "recon/ev", "ctx/ev", "relax/ev",
@@ -306,6 +321,7 @@ void write_json(const std::string& path, std::int64_t moves,
     row.set("rank_repair_nodes_per_probe", r.rank_repair_nodes_per_probe);
     row.set("makespan_rescan_rate", r.makespan_rescan_rate);
     row.set("cyclic_probe_rate", r.cyclic_probe_rate);
+    row.set("precedence_refused_rate", r.precedence_refused_rate);
     row.set("seq_diff_hit_rate", r.seq_diff_hit_rate);
     row.set("seq_edges_added_per_eval", r.seq_edges_added_per_eval);
     row.set("seq_edges_reweighted_per_eval", r.seq_edges_reweighted_per_eval);
@@ -371,6 +387,22 @@ int main(int argc, char** argv) {
         Solution::random_partition(app.graph, arch, 0, 1, init);
     reports.push_back(compare("synthetic_120", app.graph, arch, initial,
                               seed, moves, repeats));
+  }
+
+  // The scale curve: the registry's synthetic family (what `rdse explore
+  // --model synthetic:N` runs) up to its 5000-task cap, on a 2000-CLB
+  // device.
+  for (const int tasks : {1000, 5000}) {
+    const ModelSpec spec =
+        load_model_spec("synthetic:" + std::to_string(tasks));
+    const Architecture arch = make_cpu_fpga_architecture(
+        2000, spec.tr_per_clb, spec.bus_bytes_per_second);
+    Rng init(seed ^ 13);
+    const Solution initial =
+        Solution::random_partition(spec.app.graph, arch, 0, 1, init);
+    reports.push_back(compare("synthetic_" + std::to_string(tasks),
+                              spec.app.graph, arch, initial, seed,
+                              kScaleMoves, repeats));
   }
 
   print_table(reports);

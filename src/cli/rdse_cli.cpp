@@ -197,21 +197,6 @@ void require_no_positionals(const Options& opts) {
                "unexpected argument '" + opts.positional().front() + "'");
 }
 
-ExplorerConfig base_config(const Options& opts, std::int64_t default_iters) {
-  ExplorerConfig config;
-  config.seed =
-      static_cast<std::uint64_t>(opts.get_int("seed", 1, "RDSE_SEED"));
-  config.iterations = opts.get_int("iters", default_iters, "RDSE_ITERS");
-  config.warmup_iterations = opts.get_int("warmup", 1'200);
-  config.record_trace = false;
-  // Checked here, not by the engines: a dry run or `--runs 0` never reaches
-  // them, and GA clamps the budget instead of rejecting it.
-  RDSE_REQUIRE(config.iterations >= 0, "option --iters: negative count");
-  RDSE_REQUIRE(config.warmup_iterations >= 0,
-               "option --warmup: negative count");
-  return config;
-}
-
 /// Integer option --NAME (or `env_name`) as a T: refused below `min` with
 /// `below_min`, and refused when T cannot hold it — a narrowing cast would
 /// turn 2^32 + 1 runs into one run and -1 threads into 2^32 - 1.
@@ -228,6 +213,21 @@ T get_int_as(const Options& opts, const std::string& name,
                "option --" + name + ": " + std::to_string(value) +
                    " is out of range");
   return static_cast<T>(value);
+}
+
+ExplorerConfig base_config(const Options& opts, std::int64_t default_iters) {
+  ExplorerConfig config;
+  config.seed = get_int_as<std::uint64_t>(opts, "seed", 1, 0, "negative seed",
+                                          "RDSE_SEED");
+  config.iterations = opts.get_int("iters", default_iters, "RDSE_ITERS");
+  config.warmup_iterations = opts.get_int("warmup", 1'200);
+  config.record_trace = false;
+  // Checked here, not by the engines: a dry run or `--runs 0` never reaches
+  // them, and GA clamps the budget instead of rejecting it.
+  RDSE_REQUIRE(config.iterations >= 0, "option --iters: negative count");
+  RDSE_REQUIRE(config.warmup_iterations >= 0,
+               "option --warmup: negative count");
+  return config;
 }
 
 /// --threads / RDSE_THREADS (0 = hardware). The sweep engine caps its pool
@@ -750,7 +750,7 @@ PairReport pair_bench_metrics(const JsonValue& base, const JsonValue& cur) {
     for (const char* counter :
          {"relaxed_nodes_per_probe", "relax_reduction",
           "journal_entries_per_probe", "makespan_rescan_rate",
-          "cyclic_probe_rate", "rank_refresh_rate",
+          "cyclic_probe_rate", "precedence_refused_rate", "rank_refresh_rate",
           "rank_repair_nodes_per_probe", "seq_diff_hit_rate",
           "seq_edges_added_per_eval", "seq_edges_reweighted_per_eval",
           "bounds_reuse_rate", "clbs_reuse_rate", "clbs_delta_hits",

@@ -165,6 +165,14 @@ bool DeltaRelaxer::gate(const Digraph& committed) {
   return true;
 }
 
+void DeltaRelaxer::refuse() {
+  rollback_probe();
+  gated_ = false;
+  ++stats_.probes;
+  ++stats_.cyclic;
+  stats_.total_nodes += static_cast<std::int64_t>(rank_.size());
+}
+
 std::optional<TimeNs> DeltaRelaxer::probe(const WeightedDag& dag,
                                           std::span<const NodeId> seeds,
                                           std::span<const EdgeId> new_edges) {

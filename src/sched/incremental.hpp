@@ -142,6 +142,10 @@ class DeltaRelaxer {
   /// the rank journals — relax() relies on them); on a cycle they are left
   /// as committed.
   [[nodiscard]] bool gate(const Digraph& committed);
+  /// A probe the caller refused as cyclic without describing it (a rule
+  /// that needs no rank search decided it): counted exactly like a gate
+  /// refusal, and nothing is staged.
+  void refuse();
 
   /// Step 2, after a successful gate() and with the described edit written
   /// into `dag`: relax from `seeds` — every node whose local relaxation

@@ -108,6 +108,29 @@ void IncrementalEvaluator::reset(const Architecture& arch,
   pending_ = false;
 }
 
+bool IncrementalEvaluator::violates_context_order(
+    const Solution& cand_sol, std::span<const TaskId> touched_tasks) const {
+  // Every context of an RC reaches every later one in G' (see the file
+  // comment; no move leaves a context empty, so the Ehw chain has no gap),
+  // and an application edge from a later context to an earlier one closes
+  // a cycle. Tasks off the RC (context -1) have no order to violate; a
+  // neighbour on the same RC always has a context.
+  const Digraph& g = tg_->digraph();
+  for (TaskId t : touched_tasks) {
+    const Placement& p = cand_sol.placement(t);
+    if (p.context < 0) continue;
+    for (const HalfEdge& h : g.in_half(t)) {
+      const Placement& q = cand_sol.placement(h.node);
+      if (q.resource == p.resource && q.context > p.context) return true;
+    }
+    for (const HalfEdge& h : g.out_half(t)) {
+      const Placement& q = cand_sol.placement(h.node);
+      if (q.resource == p.resource && q.context < p.context) return true;
+    }
+  }
+  return false;
+}
+
 void IncrementalEvaluator::stage_node_weight(NodeId v, TimeNs w) {
   if (sg_.node_weight[v] == w) return;
   node_weight_undo_.push_back({v, sg_.node_weight[v]});
@@ -674,6 +697,14 @@ std::optional<Metrics> IncrementalEvaluator::evaluate_candidate(
                "IncrementalEvaluator: previous candidate not resolved");
   ++builds_;
 
+  // ---- pre-gate: a context-order violation is cyclic, whatever the plan --
+  if (violates_context_order(cand_sol, touched_tasks)) {
+    relaxer_.refuse();
+    ++cyclic_unstaged_;
+    ++precedence_refused_;
+    return std::nullopt;
+  }
+
   // Micro-profile phase clock: one running timestamp, advanced at each
   // phase boundary (two clock reads per phase, opt-in).
   using ProfileClock = std::chrono::steady_clock;
@@ -975,6 +1006,7 @@ IncrementalEvalStats IncrementalEvaluator::stats() const {
   s.relax = relaxer_.stats();
   s.builds = builds_;
   s.cyclic_unstaged = cyclic_unstaged_;
+  s.precedence_refused = precedence_refused_;
   s.rc_probes = rc_probes_;
   s.bounds_reused = bounds_reused_;
   s.bounds_computed = bounds_computed_;

@@ -4,8 +4,19 @@
 ///
 /// DseProblem::propose historically realized and re-relaxed the whole search
 /// graph for every move. This evaluator instead keeps the committed
-/// realization resident and applies each move as a *delta*, in three steps:
+/// realization resident and applies each move as a *delta*, in three steps
+/// behind a pre-gate:
 ///
+///  0. **pre-gate** — a touched task on a reconfigurable circuit whose
+///     application predecessor sits on the same RC in a later context, or
+///     whose successor sits there in an earlier one, closes a cycle (§4.3):
+///     every task of a context reaches a terminal of it, the Ehw biclique
+///     links those terminals to the next context's initials, and every task
+///     of that context is reached from one of them — so each context
+///     reaches every later one, and an application edge pointing back
+///     closes the loop. Checked in O(degree of the touched tasks) from the
+///     candidate placements alone, the rule refuses about half of the
+///     Fig. 3 workload's cyclic probes before any plan is read;
 ///  1. **plan** — read each touched resource's candidate chain without
 ///     writing G'. A processor's is its total order, diffed against the
 ///     committed chain by a two-pointer scan (common prefix/suffix), so a
@@ -21,9 +32,10 @@
 ///     described as the committed edges it drops plus the chains it adds
 ///     (an Ehw segment as one terminals x initials biclique), and only a
 ///     descending chain triggers a Pearce–Kelly search of its rank window.
-///     A cyclic candidate — half of all probes on the paper's Fig. 3
-///     workload — is refused here, having written nothing: no staging, no
-///     surgery, no accounting, no rollback;
+///     A cyclic candidate the pre-gate let through — a cycle through a
+///     processor order, another resource or a context swap — is refused
+///     here, having written nothing: no staging, no surgery, no
+///     accounting, no rollback;
 ///  3. **apply** — only for an acyclic candidate: G' is edited in place —
 ///     node weights and communication-edge weights of the moved tasks, the
 ///     planned chain windows (edges outside them, and the window's own
@@ -55,9 +67,13 @@ namespace rdse {
 struct IncrementalEvalStats {
   DeltaRelaxStats relax;
   std::int64_t builds = 0;  ///< candidates evaluated (feasible or cyclic)
-  /// Cyclic candidates refused by the gate before any write to G' (every
-  /// cyclic candidate is; relax.cyclic counts the same probes).
+  /// Cyclic candidates refused before any write to G' (every cyclic
+  /// candidate is; relax.cyclic counts the same probes).
   std::int64_t cyclic_unstaged = 0;
+  /// The part of cyclic_unstaged the precedence pre-gate refused — a
+  /// context-order violation at a touched task — before any plan or rank
+  /// search; the rest were refused by the gate.
+  std::int64_t precedence_refused = 0;
   /// Touched reconfigurable circuits realized (one per RC per candidate).
   std::int64_t rc_probes = 0;
   /// Per realized RC, its contexts split into those whose boundary was left
@@ -264,6 +280,11 @@ class IncrementalEvaluator {
     }
   };
 
+  /// The pre-gate: does a touched task sit on an RC in a context after one
+  /// of its application successors there, or before one of its
+  /// predecessors? Reads the candidate placements only.
+  [[nodiscard]] bool violates_context_order(
+      const Solution& cand_sol, std::span<const TaskId> touched_tasks) const;
   void stage_node_weight(NodeId v, TimeNs w);
   void stage_comm_weight(EdgeId e, TimeNs w);
   /// Re-weight a surviving sequentialization edge in place (undo-logged;
@@ -429,6 +450,7 @@ class IncrementalEvaluator {
 
   std::int64_t builds_ = 0;
   std::int64_t cyclic_unstaged_ = 0;
+  std::int64_t precedence_refused_ = 0;
   std::int64_t reconciles_ = 0;
   std::int64_t rc_probes_ = 0;
   std::int64_t bounds_reused_ = 0;

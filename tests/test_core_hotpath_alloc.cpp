@@ -19,6 +19,7 @@
 
 #include "core/problem.hpp"
 #include "model/motion_detection.hpp"
+#include "sched/incremental_eval.hpp"
 
 namespace {
 std::atomic<std::int64_t> g_allocations{0};
@@ -79,6 +80,50 @@ TEST(HotPathAllocations, SteadyStateStepsAllocateNothing) {
     EXPECT_EQ(allocations_in_steady_state(problem, 5'000, 10'000), 0)
         << clbs << " CLBs";
   }
+}
+
+TEST(HotPathAllocations, PrecedenceRefusalAllocatesNothing) {
+  // A candidate the precedence pre-gate refuses allocates nothing, not even
+  // on the evaluator's first probe: it reads no plan, runs no gate and
+  // writes no journal.
+  const Application app = make_motion_detection_app();
+  const TaskGraph& tg = app.graph;
+  const Architecture arch = make_cpu_fpga_architecture(
+      10'000, kMotionDetectionTrPerClb, kMotionDetectionBusRate);
+  // An application edge u -> v between two hardware-capable tasks.
+  TaskId u = kInvalidNode;
+  TaskId v = kInvalidNode;
+  for (EdgeId e = 0; e < tg.comm_count() && u == kInvalidNode; ++e) {
+    const CommEdge& c = tg.comm(e);
+    if (tg.task(c.src).hw_capable() && tg.task(c.dst).hw_capable()) {
+      u = c.src;
+      v = c.dst;
+    }
+  }
+  ASSERT_NE(u, kInvalidNode);
+  // Committed: software, but u in context 0 and v in context 1 of the RC.
+  Solution sol = Solution::all_software(tg, 0);
+  sol.remove_task(u, &tg);
+  sol.remove_task(v, &tg);
+  sol.insert_in_context(u, 1, sol.spawn_context_after(1, Solution::kFront), 0,
+                        &tg);
+  sol.insert_in_context(v, 1, sol.spawn_context_after(1, 0), 0, &tg);
+  IncrementalEvaluator inc(tg);
+  inc.reset(arch, sol);
+  // Candidate: v moves into a new context in front of u's.
+  Solution cand = sol;
+  cand.clear_touched();
+  cand.remove_task(v, &tg);
+  cand.insert_in_context(v, 1, cand.spawn_context_after(1, Solution::kFront),
+                         0, &tg);
+
+  const std::int64_t before = g_allocations.load();
+  const auto got = inc.evaluate_candidate(
+      arch, cand, cand.touched_resources(), cand.touched_tasks());
+  const std::int64_t allocations = g_allocations.load() - before;
+  EXPECT_FALSE(got.has_value());
+  EXPECT_EQ(inc.stats().precedence_refused, 1);
+  EXPECT_EQ(allocations, 0);
 }
 
 TEST(HotPathAllocations, CounterSeesAllocations) {

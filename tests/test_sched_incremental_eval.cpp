@@ -6,7 +6,8 @@
 /// restore the exact chain (order included) so later diffs stay local.
 /// Candidates whose G' would be cyclic (§4.3) are refused before anything
 /// is written: the committed graph, chains and relaxer journal stay as
-/// they were.
+/// they were — whether the precedence pre-gate (a context-order violation
+/// at a touched task) or the rank gate refused them.
 
 #include <gtest/gtest.h>
 
@@ -18,8 +19,9 @@
 
 #include "core/moves.hpp"
 #include "core/problem.hpp"
-#include "model/registry.hpp"
 #include "model/generators.hpp"
+#include "model/implementation.hpp"
+#include "model/registry.hpp"
 #include "sched/evaluator.hpp"
 #include "sched/incremental_eval.hpp"
 #include "util/rng.hpp"
@@ -528,6 +530,7 @@ int drive_cyclic_lockstep(const std::string& label, const TaskGraph& tg,
   EXPECT_GE(probes, 2'000) << label;
   EXPECT_EQ(s.cyclic_unstaged, s.relax.cyclic) << label;
   EXPECT_EQ(s.relax.cyclic, cyclic) << label;
+  EXPECT_LE(s.precedence_refused, s.cyclic_unstaged) << label;
   return cyclic;
 }
 
@@ -612,6 +615,126 @@ TEST(CyclicProbes, BatchedProblemRefusesCyclicProbesUnstaged) {
     EXPECT_EQ(s.cyclic_unstaged, s.relax.cyclic) << name << " @ " << clbs;
     EXPECT_GT(all_cyclic_proposals, 0) << name << " @ " << clbs;
   }
+}
+
+// ---- the precedence pre-gate ----------------------------------------------
+
+/// A 4-task chain a -> b -> c -> d on a CPU (0) and a 200-CLB FPGA (1).
+/// Committed: a in context 0, b in context 1, c then d in software.
+class PrecedencePreGate : public ::testing::Test {
+ protected:
+  static constexpr ResourceId kProc = 0;
+  static constexpr ResourceId kRc = 1;
+
+  PrecedencePreGate()
+      : arch(make_cpu_fpga_architecture(200, from_us(22.5), 1'000'000)),
+        sol(4),
+        inc(tg) {
+    for (const char* name : {"a", "b", "c", "d"}) {
+      Task t;
+      t.name = name;
+      t.functionality = "F";
+      t.sw_time = from_ms(2.0);
+      t.hw = make_pareto_impls(t.sw_time, 50, 4.0, 3);
+      tg.add_task(std::move(t));
+    }
+    tg.add_comm(a, b, 1000);
+    tg.add_comm(b, c, 2000);
+    tg.add_comm(c, d, 3000);
+    sol.insert_in_context(
+        a, kRc, sol.spawn_context_after(kRc, Solution::kFront), 0, &tg);
+    sol.insert_in_context(b, kRc, sol.spawn_context_after(kRc, 0), 0, &tg);
+    sol.insert_on_processor(c, kProc, 0);
+    sol.insert_on_processor(d, kProc, 1);
+    inc.reset(arch, sol);
+  }
+
+  /// A fresh candidate: the committed solution with an empty journal.
+  Solution candidate() const {
+    Solution cand = sol;
+    cand.clear_touched();
+    return cand;
+  }
+
+  /// Evaluate a candidate the full evaluator finds cyclic; it must be
+  /// refused with nothing written, and count as one cyclic probe.
+  void expect_refused_unstaged(const Solution& cand) {
+    ASSERT_FALSE(Evaluator(tg, arch).evaluate(cand).has_value());
+    const CommittedChains chains = committed_chains(inc, arch.slot_count());
+    const std::size_t edges = inc.search_graph().graph.edge_count();
+    const IncrementalEvalStats before = inc.stats();
+    const auto got = inc.evaluate_candidate(
+        arch, cand, cand.touched_resources(), cand.touched_tasks());
+    EXPECT_FALSE(got.has_value());
+    const IncrementalEvalStats after = inc.stats();
+    EXPECT_EQ(inc.search_graph().graph.edge_count(), edges);
+    EXPECT_TRUE(committed_chains(inc, arch.slot_count()) == chains);
+    EXPECT_EQ(inc.relaxer().journal_size(), 0u);
+    EXPECT_EQ(after.builds, before.builds + 1);
+    EXPECT_EQ(after.relax.probes, before.relax.probes + 1);
+    EXPECT_EQ(after.relax.cyclic, before.relax.cyclic + 1);
+    EXPECT_EQ(after.cyclic_unstaged, after.relax.cyclic);
+  }
+
+  /// The committed state is still intact: an acyclic candidate (d moves
+  /// onto the FPGA after b) evaluates exactly like the full evaluator.
+  void expect_committed_state_intact() {
+    Solution cand = candidate();
+    cand.remove_task(d, &tg);
+    cand.insert_in_context(d, kRc, cand.spawn_context_after(kRc, 1), 0, &tg);
+    const auto got = inc.evaluate_candidate(
+        arch, cand, cand.touched_resources(), cand.touched_tasks());
+    expect_matches_full(tg, arch, cand, got);
+    inc.discard();
+  }
+
+  TaskGraph tg;
+  const TaskId a = 0, b = 1, c = 2, d = 3;
+  Architecture arch;
+  Solution sol;
+  IncrementalEvaluator inc;
+};
+
+TEST_F(PrecedencePreGate, PredecessorInALaterContextIsRefused) {
+  // b moves into a new context in front of a's: its predecessor a now
+  // sits in a later context.
+  Solution cand = candidate();
+  cand.remove_task(b, &tg);
+  cand.insert_in_context(
+      b, kRc, cand.spawn_context_after(kRc, Solution::kFront), 0, &tg);
+  ASSERT_GT(cand.placement(a).context, cand.placement(b).context);
+  const IncrementalEvalStats before = inc.stats();
+  expect_refused_unstaged(cand);
+  const IncrementalEvalStats after = inc.stats();
+  EXPECT_EQ(after.precedence_refused, 1);
+  // Decided without a plan or a rank search.
+  EXPECT_EQ(after.rc_probes, before.rc_probes);
+  EXPECT_EQ(after.relax.rank_refreshes, before.relax.rank_refreshes);
+  expect_committed_state_intact();
+}
+
+TEST_F(PrecedencePreGate, SuccessorInAnEarlierContextIsRefused) {
+  // a moves into a new context after b's: its successor b now sits in an
+  // earlier context.
+  Solution cand = candidate();
+  cand.remove_task(a, &tg);  // context 0 collapses: b is context 0
+  cand.insert_in_context(a, kRc, cand.spawn_context_after(kRc, 0), 0, &tg);
+  ASSERT_LT(cand.placement(b).context, cand.placement(a).context);
+  expect_refused_unstaged(cand);
+  EXPECT_EQ(inc.stats().precedence_refused, 1);
+  EXPECT_EQ(inc.stats().rc_probes, 0);
+  expect_committed_state_intact();
+}
+
+TEST_F(PrecedencePreGate, ProcessorCycleIsLeftToTheGate) {
+  // d before c in the processor order closes c -> d -> c through the Esw
+  // chain: no context order is violated, so the rank gate refuses it.
+  Solution cand = candidate();
+  cand.reposition(d, 0);
+  expect_refused_unstaged(cand);
+  EXPECT_EQ(inc.stats().precedence_refused, 0);
+  EXPECT_EQ(inc.stats().relax.rank_refreshes, 1);
+  expect_committed_state_intact();
 }
 
 }  // namespace

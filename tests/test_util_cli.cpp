@@ -258,6 +258,36 @@ TEST(RdseCli, NegativeBudgetsAreRejectedAtTheFrontDoor) {
                        "option --threads"));
 }
 
+TEST(RdseCli, NegativeSeedIsRejectedNotWrapped) {
+  // A negative seed used to wrap: explore ran with 2^64 - 1 and wrote
+  // "ffffffffffffffff", while a sweep dry run printed the same seed as -1.
+  const auto rejected = [](const CliOutcome& r) {
+    return r.status == 1 &&
+           r.err.find("option --seed: negative seed") != std::string::npos;
+  };
+  EXPECT_TRUE(rejected(run_cli({"explore", "--model", "motion", "--runs", "0",
+                                "--seed", "-1"})));
+  EXPECT_TRUE(rejected(run_cli({"explore", "--model", "motion", "--iters",
+                                "10", "--warmup", "0", "--seed=-1",
+                                "--quiet"})));
+  EXPECT_TRUE(rejected(run_cli({"bench", "--mappers", "heft", "--runs", "1",
+                                "--seed=-7", "--quiet"})));
+  EXPECT_TRUE(rejected(run_cli({"sweep", "--dry-run", "--seed", "-1"})));
+  ASSERT_EQ(::setenv("RDSE_SEED", "-1", 1), 0);
+  const CliOutcome from_env = run_cli({"sweep", "--dry-run"});
+  ::unsetenv("RDSE_SEED");
+  EXPECT_TRUE(rejected(from_env));
+  // Zero and the largest seed an option can spell still run, and the dry
+  // run prints the seed it plans.
+  const CliOutcome zero = run_cli({"sweep", "--dry-run", "--seed", "0"});
+  EXPECT_EQ(zero.status, 0) << zero.err;
+  const CliOutcome top = run_cli(
+      {"sweep", "--dry-run", "--sizes", "400", "--seed",
+       "9223372036854775807"});
+  EXPECT_EQ(top.status, 0) << top.err;
+  EXPECT_NE(top.out.find("9223372036854775807"), std::string::npos);
+}
+
 TEST(RdseCli, ExploreAggregatesRepeatedRuns) {
   const CliOutcome r =
       run_cli({"explore", "--model", "motion", "--runs=2", "--iters=400",
@@ -606,7 +636,8 @@ TEST(RdseCli, CompareGatesCountersExactlyAndTimingsByTolerance) {
   // same way.
   for (const char* name :
        {"relax_reduction", "journal_entries_per_probe", "makespan_rescan_rate",
-        "cyclic_probe_rate", "rank_refresh_rate", "rank_repair_nodes_per_probe",
+        "cyclic_probe_rate", "precedence_refused_rate", "rank_refresh_rate",
+        "rank_repair_nodes_per_probe",
         "seq_diff_hit_rate", "seq_edges_added_per_eval",
         "seq_edges_reweighted_per_eval", "bounds_reuse_rate",
         "clbs_reuse_rate", "clbs_delta_hits", "clbs_delta_misses",
