@@ -111,6 +111,9 @@ struct ModelReport {
   double relaxed_per_probe = 0.0;
   double relax_reduction = 0.0;  ///< nodes / relaxed-per-probe
   double journal_entries_per_probe = 0.0;  ///< undo-journal records staged
+  /// Solution undo-log entries per staged move: what a rollback restores
+  /// in place of the old per-proposal copy of the design point.
+  double solution_undo_entries_per_probe = 0.0;
   double bounds_reuse_rate = 0.0;
   double clbs_reuse_rate = 0.0;
   double rank_refresh_rate = 0.0;
@@ -174,6 +177,11 @@ ModelReport compare(const std::string& name, const TaskGraph& tg,
     keep_min(rep.full_ns_per_eval, rf.ns_per_evaluated);
     keep_min(rep.inc_ns_per_eval, ri.ns_per_evaluated);
     stats = inc.incremental_stats();  // deterministic: same every repeat
+    rep.solution_undo_entries_per_probe =
+        inc.solution_stagings() > 0
+            ? static_cast<double>(inc.solution_undo_entries()) /
+                  static_cast<double>(inc.solution_stagings())
+            : 0.0;
   }
   rep.speedup = rep.full_ns_per_move / rep.inc_ns_per_move;
   rep.eval_speedup = rep.full_ns_per_eval / rep.inc_ns_per_eval;
@@ -258,18 +266,19 @@ ModelReport compare(const std::string& name, const TaskGraph& tg,
 
 void print_table(const std::vector<ModelReport>& reports) {
   std::printf(
-      "\n%-24s %5s | %8s %8s %7s | %9s %9s %7s | %8s %7s %6s %6s %6s "
-      "%6s\n",
+      "\n%-24s %5s | %8s %8s %7s | %9s %9s %7s | %8s %7s %7s %6s %6s "
+      "%6s %6s\n",
       "model", "tasks", "full/mv", "inc/mv", "speedup", "full/eval",
-      "inc/eval", "evalspd", "relax/ev", "jrnl/ev", "diff%", "scan%", "cyc%",
-      "pre%");
+      "inc/eval", "evalspd", "relax/ev", "jrnl/ev", "undo/pr", "diff%",
+      "scan%", "cyc%", "pre%");
   for (const ModelReport& r : reports) {
     std::printf(
         "%-24s %5zu | %7.0fn %7.0fn %6.2fx | %8.0fn %8.0fn %6.2fx | "
-        "%8.2f %7.2f %5.1f%% %5.1f%% %5.1f%% %5.1f%%\n",
+        "%8.2f %7.2f %7.2f %5.1f%% %5.1f%% %5.1f%% %5.1f%%\n",
         r.model.c_str(), r.tasks, r.full_ns_per_move, r.inc_ns_per_move,
         r.speedup, r.full_ns_per_eval, r.inc_ns_per_eval, r.eval_speedup,
         r.relaxed_per_probe, r.journal_entries_per_probe,
+        r.solution_undo_entries_per_probe,
         100.0 * r.seq_diff_hit_rate, 100.0 * r.makespan_rescan_rate,
         100.0 * r.cyclic_probe_rate, 100.0 * r.precedence_refused_rate);
   }
@@ -315,6 +324,8 @@ void write_json(const std::string& path, std::int64_t moves,
     row.set("relaxed_nodes_per_probe", r.relaxed_per_probe);
     row.set("relax_reduction", r.relax_reduction);
     row.set("journal_entries_per_probe", r.journal_entries_per_probe);
+    row.set("solution_undo_entries_per_probe",
+            r.solution_undo_entries_per_probe);
     row.set("bounds_reuse_rate", r.bounds_reuse_rate);
     row.set("clbs_reuse_rate", r.clbs_reuse_rate);
     row.set("rank_refresh_rate", r.rank_refresh_rate);

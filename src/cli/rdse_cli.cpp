@@ -749,7 +749,8 @@ PairReport pair_bench_metrics(const JsonValue& base, const JsonValue& cur) {
     // Deterministic counters: same --moves/--seed, same value on any host.
     for (const char* counter :
          {"relaxed_nodes_per_probe", "relax_reduction",
-          "journal_entries_per_probe", "makespan_rescan_rate",
+          "journal_entries_per_probe", "solution_undo_entries_per_probe",
+          "makespan_rescan_rate",
           "cyclic_probe_rate", "precedence_refused_rate", "rank_refresh_rate",
           "rank_repair_nodes_per_probe", "seq_diff_hit_rate",
           "seq_edges_added_per_eval", "seq_edges_reweighted_per_eval",

@@ -1,6 +1,8 @@
 #include "core/moves.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <vector>
 
 #include "util/assert.hpp"
 
@@ -71,49 +73,41 @@ bool apply_reorder_sw(const TaskGraph& tg, const Architecture& arch,
   }
   const auto order = sol.processor_order(ps.resource);
 
-  // Index of vd in the order with vs removed.
+  // One pass over the order finds vs, vd (indexed in the order with vs
+  // removed) and the window allowed by *direct* same-processor precedence,
+  // which the target is clamped into so most draws stay coherent (§4.2);
+  // transitive conflicts through other resources are still caught by the
+  // cycle check at evaluation. vs's neighbours are flagged first, so the
+  // pass costs O(chain + degree), not one scan of the chain per neighbour.
+  // Every task in the order sits on this processor, so a flagged task met
+  // there is a same-processor neighbour.
+  enum : std::uint8_t { kNone = 0, kPred = 1, kSucc = 2 };
+  thread_local std::vector<std::uint8_t> flag;
+  if (flag.size() < tg.task_count()) flag.resize(tg.task_count(), kNone);
+  const Digraph& g = tg.digraph();
+  for (const HalfEdge& h : g.in_half(vs)) flag[h.node] = kPred;
+  for (const HalfEdge& h : g.out_half(vs)) flag[h.node] = kSucc;
   std::size_t vd_idx = 0;
   std::size_t vs_idx = 0;
+  std::size_t lo = 0;
+  std::size_t hi = order.size() - 1;  // order without vs
   for (std::size_t i = 0, j = 0; i < order.size(); ++i) {
-    if (order[i] == vs) {
+    const TaskId u = order[i];
+    if (u == vs) {
       vs_idx = i;
       continue;
     }
-    if (order[i] == vd) vd_idx = j;
+    if (u == vd) vd_idx = j;
+    if (flag[u] == kPred) {
+      lo = j + 1;  // ascending j: the last predecessor bounds the window
+    } else if (flag[u] == kSucc) {
+      hi = std::min(hi, j);
+    }
     ++j;
   }
+  for (const HalfEdge& h : g.in_half(vs)) flag[h.node] = kNone;
+  for (const HalfEdge& h : g.out_half(vs)) flag[h.node] = kNone;
   std::size_t target = vd_idx + (after ? 1 : 0);
-
-  // Clamp into the window allowed by *direct* same-processor precedence so
-  // most draws stay coherent (§4.2); transitive conflicts through other
-  // resources are still caught by the cycle check at evaluation.
-  std::size_t lo = 0;
-  std::size_t hi = order.size() - 1;  // order without vs
-  const Digraph& g = tg.digraph();
-  auto index_without_vs = [&](TaskId t) {
-    std::size_t j = 0;
-    for (TaskId u : order) {
-      if (u == vs) continue;
-      if (u == t) return j;
-      ++j;
-    }
-    RDSE_ASSERT_MSG(false, "task missing from its processor order");
-    return j;
-  };
-  for (EdgeId e : g.in_edges(vs)) {
-    const TaskId p = g.edge(e).src;
-    if (sol.placement(p).resource == ps.resource &&
-        sol.placement(p).context == -1) {
-      lo = std::max(lo, index_without_vs(p) + 1);
-    }
-  }
-  for (EdgeId e : g.out_edges(vs)) {
-    const TaskId s = g.edge(e).dst;
-    if (sol.placement(s).resource == ps.resource &&
-        sol.placement(s).context == -1) {
-      hi = std::min(hi, index_without_vs(s));
-    }
-  }
   if (lo > hi) return false;  // direct precedence leaves no slot
   target = std::clamp(target, lo, hi);
   if (target == vs_idx) return false;  // no-op draw

@@ -24,9 +24,11 @@
 ///  - kReorderContexts: swap two adjacent contexts of an RC (temporal
 ///    re-sequencing beyond what reassignments reach).
 ///
-/// Moves mutate a *candidate* Solution (and, for m3/m4, a candidate
-/// Architecture); feasibility (graph acyclicity) is judged afterwards by
-/// evaluation, per §4.3 "a move will not be performed if a cycle appears".
+/// Moves mutate a Solution in place (the annealer stages them on its
+/// committed solution under the Solution's undo log) and, for m3/m4, a
+/// candidate Architecture; feasibility (graph acyclicity) is judged
+/// afterwards by evaluation, per §4.3 "a move will not be performed if a
+/// cycle appears" — a refused move is rolled back.
 
 #include <cstdint>
 #include <optional>

@@ -15,11 +15,8 @@ DseProblem::DseProblem(const TaskGraph& tg, Architecture arch,
       arch_(std::move(arch)),
       sol_(std::move(initial)),
       cand_arch_(arch_),
-      cand_sol_(sol_),
       best_arch_(arch_),
       best_sol_(sol_),
-      winner_arch_(arch_),
-      winner_sol_(sol_),
       batch_(batch) {
   RDSE_REQUIRE(batch_ >= 1, "DseProblem: batch must be >= 1");
   require_valid(*tg_, arch_, sol_);
@@ -64,16 +61,15 @@ void DseProblem::reset_state(Architecture arch, Solution sol) {
   const auto m = ev.evaluate(sol);
   RDSE_REQUIRE(m.has_value(), "reset_state: injected solution is infeasible");
   arch_ = std::move(arch);
-  // Copy (not move) the solution in: the committed and candidate buffers
-  // keep the storage the hot path has grown, so a resumed annealing loop
-  // is allocation-free again right away. The candidate architecture is
+  // Copy (not move) the solution in: the committed buffers keep the
+  // storage the hot path has grown, so a resumed annealing loop is
+  // allocation-free again right away. The candidate architecture is
   // refreshed here for the same reason instead of on the next proposal.
   sol_ = sol;
   metrics_ = *m;
   cost_ = cost_of(metrics_, arch_);
-  cand_arch_ = arch_;
+  if (move_config_.p_zero > 0.0) cand_arch_ = arch_;
   cand_arch_stale_ = false;
-  cand_sol_stale_ = true;
   if (inc_) inc_->reset(arch_, sol_);
 }
 
@@ -88,137 +84,106 @@ void DseProblem::restore_best_state(Architecture arch, Solution sol) {
   best_metrics_ = *m;
 }
 
-MoveOutcome DseProblem::generate_candidate_move(Rng& rng) {
-  if (mix_) {
-    // Adaptive move-mix (EXP-A2): the controller picks the class, the
-    // §4.2 operand draws stay random.
-    const auto kind = static_cast<MoveKind>(mix_->pick(rng));
-    MoveConfig forced = move_config_;
-    // Force the auxiliary classes or fall back to the m1/m2 dispatch.
-    switch (kind) {
-      case MoveKind::kChangeImpl:
-        forced.p_change_impl = 1.0;
-        break;
-      case MoveKind::kReorderContexts:
-        forced.p_change_impl = 0.0;
-        forced.p_reorder_contexts = 1.0;
-        break;
-      case MoveKind::kRemoveResource:
-      case MoveKind::kCreateResource:
-        forced.p_change_impl = 0.0;
-        forced.p_reorder_contexts = 0.0;
-        forced.p_zero = move_config_.p_zero > 0.0 ? 1.0 : 0.0;
-        break;
-      default:
-        forced.p_change_impl = 0.0;
-        forced.p_reorder_contexts = 0.0;
-        break;
-    }
-    return generate_move(*tg_, cand_arch_, cand_sol_, forced, rng);
+const MoveConfig& DseProblem::draw_config(Rng& rng) {
+  if (!mix_) return move_config_;
+  // Adaptive move-mix (EXP-A2): the controller picks the class, the §4.2
+  // operand draws stay random.
+  const auto kind = static_cast<MoveKind>(mix_->pick(rng));
+  MoveConfig& forced = mix_config_;
+  forced = move_config_;
+  // Force the auxiliary classes or fall back to the m1/m2 dispatch.
+  switch (kind) {
+    case MoveKind::kChangeImpl:
+      forced.p_change_impl = 1.0;
+      break;
+    case MoveKind::kReorderContexts:
+      forced.p_change_impl = 0.0;
+      forced.p_reorder_contexts = 1.0;
+      break;
+    case MoveKind::kRemoveResource:
+    case MoveKind::kCreateResource:
+      forced.p_change_impl = 0.0;
+      forced.p_reorder_contexts = 0.0;
+      forced.p_zero = move_config_.p_zero > 0.0 ? 1.0 : 0.0;
+      break;
+    default:
+      forced.p_change_impl = 0.0;
+      forced.p_reorder_contexts = 0.0;
+      break;
   }
-  return generate_move(*tg_, cand_arch_, cand_sol_, move_config_, rng);
+  return forced;
 }
 
-bool DseProblem::propose(Rng& rng) {
-  return batch_ <= 1 ? propose_single(rng) : propose_batched(rng);
-}
-
-bool DseProblem::propose_single(Rng& rng) {
-  // Storage-reusing copy assignments into persistent candidate buffers,
-  // skipped entirely when the previous proposal left them untouched.
+Architecture& DseProblem::move_arch() {
+  // With p_zero == 0 no draw reaches m3/m4, the only moves that touch the
+  // architecture, so the committed one serves without a copy.
+  if (move_config_.p_zero <= 0.0) return arch_;
   if (cand_arch_stale_) {
     cand_arch_ = arch_;
     cand_arch_stale_ = false;
   }
-  if (cand_sol_stale_) {
-    cand_sol_ = sol_;
-    cand_sol_stale_ = false;
-  }
-  cand_sol_.clear_touched();
+  return cand_arch_;
+}
 
-  const MoveOutcome outcome = generate_candidate_move(rng);
+void DseProblem::stage() {
+  sol_.clear_touched();
+  sol_.begin_undo();
+  ++stagings_;
+}
 
-  auto& stats = move_stats_[static_cast<std::size_t>(outcome.kind)];
-  ++stats.drawn;
-  cand_kind_ = outcome.kind;
-  if (outcome.applied) {
-    cand_sol_stale_ = true;
-  }
-  // m3/m4 mutate the candidate architecture. A failed m4 still leaves a
-  // tombstoned slot behind; a failed m3 returns before mutating anything.
-  cand_arch_mutated_ =
-      outcome.kind == MoveKind::kCreateResource ||
-      (outcome.applied && outcome.kind == MoveKind::kRemoveResource);
-  if (cand_arch_mutated_) {
-    cand_arch_stale_ = true;
-  }
-  if (!outcome.applied) {
-    ++stats.null_draws;
-    if (mix_) mix_->report(static_cast<std::size_t>(outcome.kind), false);
-    return false;
-  }
+void DseProblem::unstage() {
+  undo_entries_ += static_cast<std::int64_t>(sol_.undo_entries());
+  sol_.rollback();
+}
 
+void DseProblem::keep_staged() {
+  undo_entries_ += static_cast<std::int64_t>(sol_.undo_entries());
+  sol_.drop_undo();
+}
+
+std::optional<Metrics> DseProblem::evaluate_staged(const Architecture& arch) {
   // Hot path: evaluate the candidate as a delta against the committed
   // state — only the realizations of the resources the move touched are
   // recomputed, and only the affected region of G' is re-relaxed. The
   // full-evaluation path is the A/B reference (bit-identical).
-  std::optional<Metrics> m;
   if (inc_) {
-    m = inc_->evaluate_candidate(cand_arch_, cand_sol_,
-                                 cand_sol_.touched_resources(),
-                                 cand_sol_.touched_tasks());
-  } else {
-    const Evaluator ev(*tg_, cand_arch_);
-    m = ev.evaluate(cand_sol_);
+    return inc_->evaluate_candidate(arch, sol_, sol_.touched_resources(),
+                                    sol_.touched_tasks());
   }
-  if (!m.has_value()) {
-    // §4.3: the realized G' has a cycle — the move "will not be performed".
-    ++stats.infeasible;
-    if (mix_) mix_->report(static_cast<std::size_t>(outcome.kind), false);
-    return false;
-  }
-  ++stats.evaluated;
-  cand_metrics_ = *m;
-  cand_cost_ = cost_of(cand_metrics_, cand_arch_);
-  return true;
+  const Evaluator ev(*tg_, arch);
+  return ev.evaluate(sol_);
 }
 
-bool DseProblem::propose_batched(Rng& rng) {
-  // Probe K independent moves against the same committed state, keep the
-  // cheapest feasible one and hand only that winner to the engine's
-  // Metropolis test ("best of K, then Metropolis"). Losing probes count as
-  // rejections for the adaptive move mix; the per-class counters see every
-  // probe, so `evaluated` still measures real evaluator work.
+bool DseProblem::propose(Rng& rng) {
+  // Probe K moves against the committed state, keep the cheapest feasible
+  // one and hand only that winner to the engine's Metropolis test ("best of
+  // K, then Metropolis"). Each probe is staged in place on sol_ and rolled
+  // back before the next is drawn; a winner that is not the last probe is
+  // replayed from its saved generator state at the end. Losing probes count
+  // as rejections for the adaptive move mix; the per-class counters see
+  // every probe, so `evaluated` still measures real evaluator work.
   bool have_winner = false;
   bool staged = false;            // inc_ holds an uncommitted delta ...
   bool staged_is_winner = false;  // ... and it belongs to the winner
+  bool winner_applied = false;    // sol_ still holds the winner's move
   for (int k = 0; k < batch_; ++k) {
-    if (cand_arch_stale_) {
-      cand_arch_ = arch_;
-      cand_arch_stale_ = false;
-    }
-    if (cand_sol_stale_) {
-      cand_sol_ = sol_;
-      cand_sol_stale_ = false;
-    }
-    cand_sol_.clear_touched();
-
-    const MoveOutcome outcome = generate_candidate_move(rng);
+    const MoveConfig& config = draw_config(rng);
+    if (batch_ > 1) probe_ = {rng.state(), config};
+    Architecture& arch = move_arch();
+    stage();
+    const MoveOutcome outcome = generate_move(*tg_, arch, sol_, config, rng);
     auto& stats = move_stats_[static_cast<std::size_t>(outcome.kind)];
     ++stats.drawn;
-    cand_kind_ = outcome.kind;
-    if (outcome.applied) {
-      cand_sol_stale_ = true;
-    }
+    // m3/m4 mutate the candidate architecture. A failed m4 still leaves a
+    // tombstoned slot behind; a failed m3 returns before mutating anything.
     const bool arch_mutated =
         outcome.kind == MoveKind::kCreateResource ||
         (outcome.applied && outcome.kind == MoveKind::kRemoveResource);
-    if (arch_mutated) {
-      cand_arch_stale_ = true;
-    }
+    if (arch_mutated) cand_arch_stale_ = true;
     if (!outcome.applied) {
       ++stats.null_draws;
       if (mix_) mix_->report(static_cast<std::size_t>(outcome.kind), false);
+      unstage();
       continue;
     }
 
@@ -229,67 +194,57 @@ bool DseProblem::propose_batched(Rng& rng) {
       staged = false;
       staged_is_winner = false;
     }
-    std::optional<Metrics> m;
-    if (inc_) {
-      m = inc_->evaluate_candidate(cand_arch_, cand_sol_,
-                                   cand_sol_.touched_resources(),
-                                   cand_sol_.touched_tasks());
-    } else {
-      const Evaluator ev(*tg_, cand_arch_);
-      m = ev.evaluate(cand_sol_);
-    }
+    const std::optional<Metrics> m = evaluate_staged(arch);
     if (!m.has_value()) {
+      // §4.3: the realized G' has a cycle — the move "will not be
+      // performed".
       ++stats.infeasible;
       if (mix_) mix_->report(static_cast<std::size_t>(outcome.kind), false);
+      unstage();
       continue;
     }
     ++stats.evaluated;
     staged = inc_ != nullptr;
-    const double cost = cost_of(*m, cand_arch_);
-    if (!have_winner || cost < winner_cost_) {
+    const double cost = cost_of(*m, arch);
+    if (!have_winner || cost < cand_cost_) {
       if (have_winner && mix_) {
-        mix_->report(static_cast<std::size_t>(winner_kind_), false);
+        mix_->report(static_cast<std::size_t>(cand_kind_), false);
       }
-      std::swap(winner_arch_, cand_arch_);
-      std::swap(winner_sol_, cand_sol_);  // the touched journal travels too
-      winner_metrics_ = *m;
-      winner_cost_ = cost;
-      winner_kind_ = outcome.kind;
-      winner_arch_mutated_ = arch_mutated;
+      cand_metrics_ = *m;
+      cand_cost_ = cost;
+      cand_kind_ = outcome.kind;
+      cand_arch_mutated_ = arch_mutated;
+      if (batch_ > 1) winner_ = probe_;
       have_winner = true;
       staged_is_winner = true;
-      // The swap left the previous winner's storage in the cand buffers.
-      cand_arch_stale_ = true;
-      cand_sol_stale_ = true;
     } else {
       if (mix_) mix_->report(static_cast<std::size_t>(outcome.kind), false);
       staged_is_winner = false;
     }
+    winner_applied = k + 1 == batch_ && staged_is_winner;
+    if (!winner_applied) unstage();
   }
 
-  if (!have_winner) {
-    if (inc_ && staged) inc_->discard();
-    return false;
-  }
-  if (inc_ && staged && !staged_is_winner) {
-    inc_->discard();
-  }
-  std::swap(cand_arch_, winner_arch_);
-  std::swap(cand_sol_, winner_sol_);
-  cand_metrics_ = winner_metrics_;
-  cand_cost_ = winner_cost_;
-  cand_kind_ = winner_kind_;
-  cand_arch_mutated_ = winner_arch_mutated_;
-  cand_arch_stale_ = true;
-  cand_sol_stale_ = true;
-  if (inc_ && !staged_is_winner) {
-    // Re-stage the winner's delta against the committed state so accept()
-    // can commit it. The probe already proved feasibility, and replaying
-    // the identical (candidate, journal) pair is deterministic.
-    const auto m = inc_->evaluate_candidate(cand_arch_, cand_sol_,
-                                            cand_sol_.touched_resources(),
-                                            cand_sol_.touched_tasks());
-    RDSE_ASSERT(m.has_value());
+  if (!have_winner) return false;
+  if (!winner_applied) {
+    // Replay the winner on the committed state. The rolled-back solution
+    // (and a refreshed candidate architecture) are bit-identical to what
+    // its probe saw, so the same generator state draws the same move.
+    Architecture& arch = move_arch();
+    stage();
+    Rng replay;
+    replay.set_state(winner_.rng);
+    const MoveOutcome outcome =
+        generate_move(*tg_, arch, sol_, winner_.config, replay);
+    RDSE_ASSERT(outcome.applied && outcome.kind == cand_kind_);
+    if (cand_arch_mutated_) cand_arch_stale_ = true;
+    if (inc_ && !staged_is_winner) {
+      // Re-stage the winner's delta against the committed state so
+      // accept() can commit it. The probe already proved feasibility.
+      if (staged) inc_->discard();
+      const auto m = evaluate_staged(arch);
+      RDSE_ASSERT(m.has_value());
+    }
   }
   return true;
 }
@@ -298,20 +253,20 @@ void DseProblem::accept() {
   if (inc_) inc_->commit();
   if (cand_arch_mutated_) {
     arch_ = cand_arch_;  // deep clone, m3/m4 only — see cand_arch_mutated_
+    cand_arch_stale_ = false;
     cand_arch_mutated_ = false;
   }
-  sol_ = cand_sol_;
+  keep_staged();
   metrics_ = cand_metrics_;
   cost_ = cand_cost_;
-  cand_arch_stale_ = false;  // current == candidate again
-  cand_sol_stale_ = false;
   auto& stats = move_stats_[static_cast<std::size_t>(cand_kind_)];
   ++stats.accepted;
   if (mix_) mix_->report(static_cast<std::size_t>(cand_kind_), true);
 }
 
 void DseProblem::reject() {
-  if (inc_) inc_->discard();  // rolling back a delta costs nothing
+  if (inc_) inc_->discard();
+  unstage();
   if (mix_) mix_->report(static_cast<std::size_t>(cand_kind_), false);
 }
 

@@ -49,6 +49,12 @@ class DseProblem final : public AnnealProblem {
   /// step against the same committed state; the cheapest feasible probe is
   /// handed to the engine's Metropolis test ("best of K, then Metropolis").
   /// K = 1 is bit-identical to the classic one-probe path.
+  ///
+  /// Moves are staged in place on the committed solution under its undo
+  /// log (Solution::begin_undo): propose() leaves the winning move applied
+  /// to it, accept() keeps it and reject() rolls it back — no per-proposal
+  /// copy of the design point. Between propose() and accept()/reject(),
+  /// current_solution() therefore shows the candidate.
   DseProblem(const TaskGraph& tg, Architecture arch, Solution initial,
              MoveConfig moves = {}, CostWeights weights = {},
              bool adaptive_move_mix = false, bool full_eval = false,
@@ -116,6 +122,13 @@ class DseProblem final : public AnnealProblem {
     move_stats_ = s;
   }
 
+  /// Undo-log entries the staged moves wrote into the solution, summed
+  /// over every staging (each draw, plus each best-of-K winner replay).
+  [[nodiscard]] std::int64_t solution_undo_entries() const {
+    return undo_entries_;
+  }
+  [[nodiscard]] std::int64_t solution_stagings() const { return stagings_; }
+
   /// Adaptive move-mix controller; nullptr unless adaptive_move_mix was
   /// requested. Exposed for checkpoint save/restore of its EWMA state.
   [[nodiscard]] MoveMixController* move_mix() { return mix_.get(); }
@@ -124,13 +137,19 @@ class DseProblem final : public AnnealProblem {
   }
 
  private:
-  /// One §4.2 move draw into the candidate buffers (adaptive-mix forcing
-  /// included) — shared by the single and batched propose paths.
-  MoveOutcome generate_candidate_move(Rng& rng);
-  /// The classic one-probe propose (K = 1).
-  bool propose_single(Rng& rng);
-  /// K > 1: probe a batch against the committed state, keep the argmin.
-  bool propose_batched(Rng& rng);
+  /// The move configuration of the next draw: the configured one, or the
+  /// adaptive mix's pick forced onto it (in mix_config_).
+  const MoveConfig& draw_config(Rng& rng);
+  /// The architecture moves draw on: arch_ itself unless architecture
+  /// moves are enabled (p_zero > 0), else cand_arch_, refreshed from arch_
+  /// when a previous move left it mutated.
+  Architecture& move_arch();
+  /// Start / undo / keep a staged move on sol_ (counting its log entries).
+  void stage();
+  void unstage();
+  void keep_staged();
+  /// Evaluate the move staged on sol_.
+  std::optional<Metrics> evaluate_staged(const Architecture& arch);
 
   const TaskGraph* tg_;
   MoveConfig move_config_;
@@ -141,8 +160,10 @@ class DseProblem final : public AnnealProblem {
   Metrics metrics_;
   double cost_ = 0.0;
 
+  /// Candidate architecture for m3/m4 (used only when p_zero > 0; every
+  /// other move leaves the architecture alone and draws on arch_).
   Architecture cand_arch_;
-  Solution cand_sol_;
+  /// The staged move's evaluation — during propose(), the best probe's.
   Metrics cand_metrics_;
   double cand_cost_ = 0.0;
   MoveKind cand_kind_ = MoveKind::kReassign;
@@ -151,27 +172,30 @@ class DseProblem final : public AnnealProblem {
   Solution best_sol_;
   Metrics best_metrics_;
 
-  /// Batched-probe machinery (batch_ > 1): the cheapest feasible probe seen
-  /// so far within one propose() call. Persistent buffers so the hot path
-  /// swaps storage instead of allocating.
-  Architecture winner_arch_;
-  Solution winner_sol_;
-  Metrics winner_metrics_;
-  double winner_cost_ = 0.0;
-  MoveKind winner_kind_ = MoveKind::kReassign;
-  bool winner_arch_mutated_ = false;
+  /// What replays a probe's move exactly: the generator state before its
+  /// draw and the configuration it was drawn with. Kept (K > 1) for the
+  /// current probe and for the cheapest feasible one so far, which is
+  /// replayed once the later probes are undone.
+  struct Replay {
+    Rng::State rng;
+    MoveConfig config;
+  };
+  Replay probe_;
+  Replay winner_;
+  /// The adaptive mix's forced configuration of the current draw.
+  MoveConfig mix_config_;
   /// Probes evaluated per annealing step (K); 1 = the classic path.
   int batch_ = 1;
+  std::int64_t undo_entries_ = 0;
+  std::int64_t stagings_ = 0;
 
   std::unique_ptr<MoveMixController> mix_;
   std::array<MoveClassStats, kMoveKindCount> move_stats_{};
   /// Hot-path evaluator (null when full_eval was requested).
   std::unique_ptr<IncrementalEvaluator> inc_;
-  /// True when cand_arch_/cand_sol_ may differ from the current state and
-  /// must be re-copied before the next move (skipping the copy after null
-  /// draws and accepted moves keeps the hot path allocation-free).
-  bool cand_arch_stale_ = true;
-  bool cand_sol_stale_ = true;
+  /// True when cand_arch_ may differ from arch_ and must be re-copied
+  /// before the next architecture-capable draw.
+  bool cand_arch_stale_ = false;
   /// True when the staged move mutated the candidate architecture (m3/m4).
   /// accept() deep-clones the architecture (unique_ptr resources) only
   /// then — every other move leaves arch_ == cand_arch_ already.

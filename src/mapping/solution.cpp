@@ -88,7 +88,102 @@ Solution& Solution::operator=(const Solution& other) {
   touched_ = other.touched_;
   copy_bounded(touched_tasks_, other.touched_tasks_, n);
   edits_ = other.edits_;
+  undo_.clear();
   return *this;
+}
+
+template <typename Slots>
+typename Slots::value_type& Solution::slot_for_write(Slots& slots,
+                                                     ResourceId id,
+                                                     UndoOp::Kind kind) {
+  if (id >= slots.size()) {
+    log_op(kind, 0, 0, static_cast<std::uint32_t>(slots.size()));
+  }
+  return slot_at(slots, id);
+}
+
+void Solution::replay_undo() {
+  using Kind = UndoOp::Kind;
+  for (auto it = undo_.ops.rbegin(); it != undo_.ops.rend(); ++it) {
+    const UndoOp& op = *it;
+    const auto at = static_cast<std::ptrdiff_t>(op.pos);
+    switch (op.kind) {
+      case Kind::kOrderInsert: {
+        auto& order = proc_order_[op.res];
+        order.erase(order.begin() + at);
+        break;
+      }
+      case Kind::kOrderErase: {
+        auto& order = proc_order_[op.res];
+        order.insert(order.begin() + at, op.value);
+        break;
+      }
+      case Kind::kAsicPush:
+        asic_tasks_[op.res].pop_back();
+        break;
+      case Kind::kAsicErase: {
+        auto& members = asic_tasks_[op.res];
+        members.insert(members.begin() + at, op.value);
+        break;
+      }
+      case Kind::kMemberInsert: {
+        RcContexts& rc = rcs_[op.res];
+        rc.members.erase(rc.members.begin() + at);
+        for (std::size_t c = static_cast<std::size_t>(op.aux);
+             c < rc.ends.size(); ++c) {
+          --rc.ends[c];
+        }
+        break;
+      }
+      case Kind::kMemberErase: {
+        RcContexts& rc = rcs_[op.res];
+        rc.members.insert(rc.members.begin() + at, op.value);
+        for (std::size_t c = static_cast<std::size_t>(op.aux);
+             c < rc.ends.size(); ++c) {
+          ++rc.ends[c];
+        }
+        break;
+      }
+      case Kind::kMemberSet:
+        rcs_[op.res].members[op.pos] = op.value;
+        break;
+      case Kind::kEndSet:
+        rcs_[op.res].ends[op.pos] = op.value;
+        break;
+      case Kind::kClbSet:
+        rcs_[op.res].clbs[op.pos] = op.aux;
+        break;
+      case Kind::kContextInsert: {
+        RcContexts& rc = rcs_[op.res];
+        rc.ends.erase(rc.ends.begin() + at);
+        rc.clbs.erase(rc.clbs.begin() + at);
+        break;
+      }
+      case Kind::kContextErase: {
+        RcContexts& rc = rcs_[op.res];
+        rc.ends.insert(rc.ends.begin() + at, op.value);
+        rc.clbs.insert(rc.clbs.begin() + at, op.aux);
+        break;
+      }
+      case Kind::kProcSlots:
+        proc_order_.resize(op.value);
+        break;
+      case Kind::kRcSlots:
+        rcs_.resize(op.value);
+        break;
+      case Kind::kAsicSlots:
+        asic_tasks_.resize(op.value);
+        break;
+    }
+  }
+  for (auto it = undo_.tasks.rbegin(); it != undo_.tasks.rend(); ++it) {
+    placement_[it->task] = it->placement;
+    links_[it->task] = it->links;
+  }
+  touched_.resize(undo_.touched);
+  touched_tasks_.resize(undo_.touched_tasks);
+  edits_.assign(undo_.edits.begin(), undo_.edits.end());
+  undo_.clear();
 }
 
 Solution Solution::all_software(const TaskGraph& tg, ResourceId processor) {
@@ -194,7 +289,7 @@ void Solution::warm_context(const TaskGraph& tg, ResourceId rc,
   std::int32_t total = 0;
   for (TaskId t : context_tasks(rc, ctx)) {
     total += tg.task(t).hw.at(placement_[t].impl).clbs;
-    ContextLinks& l = links_[t];
+    ContextLinks& l = links_for_write(t);
     l = {};
     for (const HalfEdge& h : g.in_half(t)) {
       const Placement& q = placement_[h.node];
@@ -205,7 +300,7 @@ void Solution::warm_context(const TaskGraph& tg, ResourceId rc,
       l.succs += q.resource == rc && q.context == static_cast<int>(ctx);
     }
   }
-  s.clbs[ctx] = total;
+  set_clbs(rc, ctx, total);
 }
 
 void Solution::append_boundary(ResourceId rc, std::size_t ctx, bool terminals,
@@ -221,18 +316,19 @@ void Solution::append_boundary(ResourceId rc, std::size_t ctx, bool terminals,
 void Solution::update_links(const TaskGraph& tg, TaskId task, int sign) {
   const Placement& p = placement_[task];
   const Digraph& g = tg.digraph();
+  ContextLinks& own = links_[task];  // logged by touch_task
   for (const HalfEdge& h : g.in_half(task)) {
     const Placement& q = placement_[h.node];
     if (q.resource == p.resource && q.context == p.context) {
-      links_[h.node].succs += sign;
-      links_[task].preds += sign;
+      links_for_write(h.node).succs += sign;
+      own.preds += sign;
     }
   }
   for (const HalfEdge& h : g.out_half(task)) {
     const Placement& q = placement_[h.node];
     if (q.resource == p.resource && q.context == p.context) {
-      links_[h.node].preds += sign;
-      links_[task].succs += sign;
+      links_for_write(h.node).preds += sign;
+      own.succs += sign;
     }
   }
 }
@@ -257,10 +353,12 @@ void Solution::touch(ResourceId id) {
 }
 
 void Solution::touch_task(TaskId id) {
-  if (std::find(touched_tasks_.begin(), touched_tasks_.end(), id) ==
-      touched_tasks_.end()) {
-    touched_tasks_.push_back(id);
-  }
+  const auto it = std::find(touched_tasks_.begin(), touched_tasks_.end(), id);
+  const auto at = static_cast<std::size_t>(it - touched_tasks_.begin());
+  // Logged once per staging: a task journaled before begin_undo() is
+  // logged again on its first touch inside it.
+  if (at == touched_tasks_.size() || at < undo_.touched_tasks) log_task(id);
+  if (it == touched_tasks_.end()) touched_tasks_.push_back(id);
 }
 
 std::size_t Solution::edit_locate(ResourceId rc, std::uint32_t ctx,
@@ -384,7 +482,7 @@ void Solution::edit_merge(std::size_t i) {
 
 void Solution::remove_task(TaskId task, const TaskGraph* tg) {
   RDSE_REQUIRE(task < placement_.size(), "Solution: task id out of range");
-  Placement& p = placement_[task];
+  const Placement p = placement_[task];
   if (!p.assigned()) return;
   touch(p.resource);
   touch_task(task);
@@ -393,8 +491,10 @@ void Solution::remove_task(TaskId task, const TaskGraph* tg) {
     auto& order = proc_order_[p.resource];
     const auto pos = std::find(order.begin(), order.end(), task);
     if (pos != order.end()) {
+      log_op(UndoOp::Kind::kOrderErase, p.resource,
+             static_cast<std::uint32_t>(pos - order.begin()), task);
       order.erase(pos);
-      p = Placement{};
+      placement_[task] = Placement{};
       return;
     }
   }
@@ -408,34 +508,41 @@ void Solution::remove_task(TaskId task, const TaskGraph* tg) {
     const auto pos = std::find(s.members.begin() + begin,
                                s.members.begin() + s.ends[ctx], task);
     RDSE_ASSERT(pos != s.members.begin() + s.ends[ctx]);
-    std::int32_t& sum = s.clbs[ctx];
+    const std::int32_t sum = s.clbs[ctx];
     if (sum >= 0 && tg != nullptr) {
-      sum -= tg->task(task).hw.at(p.impl).clbs;
+      set_clbs(p.resource, ctx, sum - tg->task(task).hw.at(p.impl).clbs);
       update_links(*tg, task, -1);
-    } else {
-      sum = -1;
+    } else if (sum >= 0) {
+      set_clbs(p.resource, ctx, -1);
     }
     links_[task] = {};
+    log_op(UndoOp::Kind::kMemberErase, p.resource,
+           static_cast<std::uint32_t>(pos - s.members.begin()), task,
+           static_cast<std::int32_t>(ctx));
     s.members.erase(pos);
     for (std::size_t c = ctx; c < s.ends.size(); ++c) --s.ends[c];
     if (begin == s.ends[ctx]) {
       // Destroy the emptied context and renumber the members behind it.
       edit_erase(p.resource, ctx);
+      log_op(UndoOp::Kind::kContextErase, p.resource,
+             static_cast<std::uint32_t>(ctx), s.ends[ctx], s.clbs[ctx]);
       s.ends.erase(s.ends.begin() + static_cast<std::ptrdiff_t>(ctx));
       s.clbs.erase(s.clbs.begin() + static_cast<std::ptrdiff_t>(ctx));
       for (auto it = s.members.begin() + begin; it != s.members.end(); ++it) {
-        --placement_[*it].context;
+        --placement_for_write(*it).context;
       }
     }
-    p = Placement{};
+    placement_[task] = Placement{};
     return;
   }
   if (p.resource < asic_tasks_.size()) {
     auto& members = asic_tasks_[p.resource];
     const auto pos = std::find(members.begin(), members.end(), task);
     if (pos != members.end()) {
+      log_op(UndoOp::Kind::kAsicErase, p.resource,
+             static_cast<std::uint32_t>(pos - members.begin()), task);
       members.erase(pos);
-      p = Placement{};
+      placement_[task] = Placement{};
       return;
     }
   }
@@ -449,8 +556,11 @@ void Solution::insert_on_processor(TaskId task, ResourceId processor,
                "insert_on_processor: task already assigned");
   touch(processor);
   touch_task(task);
-  auto& order = slot_at(proc_order_, processor);
+  auto& order =
+      slot_for_write(proc_order_, processor, UndoOp::Kind::kProcSlots);
   position = std::min(position, order.size());
+  log_op(UndoOp::Kind::kOrderInsert, processor,
+         static_cast<std::uint32_t>(position));
   order.insert(order.begin() + static_cast<std::ptrdiff_t>(position), task);
   placement_[task] = Placement{processor, -1, 0};
 }
@@ -468,16 +578,18 @@ void Solution::insert_in_context(TaskId task, ResourceId rc, std::size_t ctx,
   touch_task(task);
   edit_modify(rc, ctx, true);
   RcContexts& s = rcs_[rc];
+  log_op(UndoOp::Kind::kMemberInsert, rc, s.ends[ctx], 0,
+         static_cast<std::int32_t>(ctx));
   s.members.insert(s.members.begin() + s.ends[ctx], task);
   for (std::size_t c = ctx; c < s.ends.size(); ++c) ++s.ends[c];
   placement_[task] = Placement{rc, static_cast<std::int32_t>(ctx), impl};
   links_[task] = {};
-  std::int32_t& sum = s.clbs[ctx];
+  const std::int32_t sum = s.clbs[ctx];
   if (sum >= 0 && tg != nullptr) {
-    sum += tg->task(task).hw.at(impl).clbs;
+    set_clbs(rc, ctx, sum + tg->task(task).hw.at(impl).clbs);
     update_links(*tg, task, +1);
-  } else {
-    sum = -1;
+  } else if (sum >= 0) {
+    set_clbs(rc, ctx, -1);
   }
 }
 
@@ -488,28 +600,26 @@ void Solution::insert_on_asic(TaskId task, ResourceId asic,
                "insert_on_asic: task already assigned");
   touch(asic);
   touch_task(task);
-  slot_at(asic_tasks_, asic).push_back(task);
+  auto& members = slot_for_write(asic_tasks_, asic, UndoOp::Kind::kAsicSlots);
+  log_op(UndoOp::Kind::kAsicPush, asic, 0);
+  members.push_back(task);
   placement_[task] = Placement{asic, -1, impl};
 }
 
 std::size_t Solution::spawn_context_after(ResourceId rc, std::size_t after) {
+  RDSE_REQUIRE(after == kFront || after < context_count(rc),
+               "spawn_context_after: context index out of range");
   touch(rc);
-  RcContexts& s = slot_at(rcs_, rc);
-  std::size_t pos;
-  if (after == kFront) {
-    pos = 0;
-  } else {
-    RDSE_REQUIRE(after < s.ends.size(),
-                 "spawn_context_after: context index out of range");
-    pos = after + 1;
-  }
+  RcContexts& s = slot_for_write(rcs_, rc, UndoOp::Kind::kRcSlots);
+  const std::size_t pos = after == kFront ? 0 : after + 1;
   edit_insert(rc, pos);
   const std::uint32_t at = s.begin(pos);
+  log_op(UndoOp::Kind::kContextInsert, rc, static_cast<std::uint32_t>(pos));
   s.ends.insert(s.ends.begin() + static_cast<std::ptrdiff_t>(pos), at);
   // A fresh context holds nothing: its sum is known to be zero.
   s.clbs.insert(s.clbs.begin() + static_cast<std::ptrdiff_t>(pos), 0);
   for (auto it = s.members.begin() + at; it != s.members.end(); ++it) {
-    ++placement_[*it].context;
+    ++placement_for_write(*it).context;
   }
   return pos;
 }
@@ -524,29 +634,34 @@ void Solution::reposition(TaskId task, std::size_t new_position) {
   auto& order = proc_order_[p.resource];
   const auto pos = std::find(order.begin(), order.end(), task);
   RDSE_ASSERT(pos != order.end());
+  log_op(UndoOp::Kind::kOrderErase, p.resource,
+         static_cast<std::uint32_t>(pos - order.begin()), task);
   order.erase(pos);
   new_position = std::min(new_position, order.size());
+  log_op(UndoOp::Kind::kOrderInsert, p.resource,
+         static_cast<std::uint32_t>(new_position));
   order.insert(order.begin() + static_cast<std::ptrdiff_t>(new_position),
                task);
 }
 
 void Solution::set_impl(TaskId task, std::uint32_t impl, const TaskGraph* tg) {
   RDSE_REQUIRE(task < placement_.size(), "Solution: task id out of range");
-  Placement& p = placement_[task];
+  const Placement p = placement_[task];
   RDSE_REQUIRE(p.assigned() && p.context >= 0,
                "set_impl: task is not on a reconfigurable circuit");
   touch(p.resource);
   touch_task(task);
   const auto ctx = static_cast<std::size_t>(p.context);
   edit_modify(p.resource, ctx, false);
-  std::int32_t& sum = rcs_[p.resource].clbs[ctx];
+  const std::int32_t sum = rcs_[p.resource].clbs[ctx];
   if (sum >= 0 && tg != nullptr) {
     const auto& impls = tg->task(task).hw;
-    sum += impls.at(impl).clbs - impls.at(p.impl).clbs;
-  } else {
-    sum = -1;
+    set_clbs(p.resource, ctx,
+             sum + impls.at(impl).clbs - impls.at(p.impl).clbs);
+  } else if (sum >= 0) {
+    set_clbs(p.resource, ctx, -1);
   }
-  p.impl = impl;
+  placement_[task].impl = impl;
 }
 
 void Solution::swap_contexts(ResourceId rc, std::size_t a, std::size_t b) {
@@ -559,6 +674,11 @@ void Solution::swap_contexts(ResourceId rc, std::size_t a, std::size_t b) {
   edit_modify(rc, b, true);
   RcContexts& s = rcs_[rc];
   // Members [A | M | B] become [B | M | A]; each block keeps its order.
+  if (undo_.on) {
+    for (std::uint32_t k = s.begin(a); k < s.ends[b]; ++k) {
+      log_op(UndoOp::Kind::kMemberSet, rc, k, s.members[k]);
+    }
+  }
   const auto first = s.members.begin() + s.begin(a);
   const auto mid = s.members.begin() + s.begin(b);
   const auto last = s.members.begin() + s.ends[b];
@@ -567,15 +687,19 @@ void Solution::swap_contexts(ResourceId rc, std::size_t a, std::size_t b) {
   std::rotate(first, mid, last);  // [B | A | M]
   std::rotate(first + len_b, first + len_b + len_a, last);
   for (std::size_t c = a; c < b; ++c) {
+    log_op(UndoOp::Kind::kEndSet, rc, static_cast<std::uint32_t>(c),
+           s.ends[c]);
     s.ends[c] = s.ends[c] - len_a + len_b;
   }
-  std::swap(s.clbs[a], s.clbs[b]);
+  const std::int32_t clbs_a = s.clbs[a];
+  set_clbs(rc, a, s.clbs[b]);
+  set_clbs(rc, b, clbs_a);
   for (auto it = first; it != last; ++it) {
-    Placement& q = placement_[*it];
-    if (q.context == static_cast<std::int32_t>(a)) {
-      q.context = static_cast<std::int32_t>(b);
-    } else if (q.context == static_cast<std::int32_t>(b)) {
-      q.context = static_cast<std::int32_t>(a);
+    const std::int32_t c = placement_[*it].context;
+    if (c == static_cast<std::int32_t>(a)) {
+      placement_for_write(*it).context = static_cast<std::int32_t>(b);
+    } else if (c == static_cast<std::int32_t>(b)) {
+      placement_for_write(*it).context = static_cast<std::int32_t>(a);
     }
   }
 }

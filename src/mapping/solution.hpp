@@ -12,10 +12,12 @@
 /// The class stores the representation and maintains the mirror structures
 /// (order lists <-> placements); *semantic* feasibility — capacity bounds,
 /// acyclicity of the induced search graph — is enforced by the move layer
-/// and checked by mapping/validation.hpp. Solutions are value types: the
-/// annealer copies them to stage candidates. They deliberately hold no
-/// pointers to the task graph or architecture; methods that need those take
-/// them as parameters, so a Solution can outlive architecture snapshots.
+/// and checked by mapping/validation.hpp. Solutions are value types, but
+/// the annealer stages each candidate move in place on the committed
+/// solution under an undo log (begin_undo / rollback / drop_undo) instead
+/// of copying it. They deliberately hold no pointers to the task graph or
+/// architecture; methods that need those take them as parameters, so a
+/// Solution can outlive architecture snapshots.
 
 #include <cstdint>
 #include <span>
@@ -227,14 +229,54 @@ class Solution {
     edits_.clear();
   }
 
+  // ---- undo log -----------------------------------------------------------
+  //
+  // Between begin_undo() and rollback()/drop_undo(), every write a mutator
+  // makes — placements (bystanders renumbered by a context spawn, collapse
+  // or swap included), processor orders, ASIC lists, context members and
+  // offsets, CLB sums, link counts — and every write warm_context makes to
+  // the mirrors is logged with the value and position it overwrites. A
+  // moved task's own placement and link counts are logged once, when the
+  // journal first records it as touched. The mutation journal (touched
+  // lists, context edits) is saved at begin_undo(). Copies never carry a
+  // log.
+
+  /// Start logging. The solution as it stands is what rollback() restores.
+  void begin_undo() {
+    RDSE_DCHECK(!undo_.on, "begin_undo: already logging");
+    undo_.on = true;
+    undo_.touched = touched_.size();
+    undo_.touched_tasks = touched_tasks_.size();
+    undo_.edits.assign(edits_.begin(), edits_.end());
+  }
+  /// Restore the solution as it was at begin_undo() bit-exactly — mirrors,
+  /// cold (-1) CLB sums, link counts and the journal included — by
+  /// replaying the log backwards, in time proportional to its entries.
+  /// Stops logging. (A staging that logged nothing — a null move draw —
+  /// changed nothing, the journal included: every journal write comes
+  /// with a logged one.)
+  void rollback() {
+    if (undo_entries() != 0) {
+      replay_undo();
+    } else {
+      undo_.on = false;
+    }
+  }
+  /// Keep every change since begin_undo(); stops logging.
+  void drop_undo() { undo_.clear(); }
+  /// Entries logged since begin_undo() (0 while not logging).
+  [[nodiscard]] std::size_t undo_entries() const {
+    return undo_.ops.size() + undo_.tasks.size();
+  }
+
   /// Semantic equality (placements and mirrors; the journal is ignored —
   /// and so are trailing/empty mirror slots, which only record that a
   /// resource id was once used).
   [[nodiscard]] bool operator==(const Solution& other) const;
 
-  // Copies keep their storage: assigning into a solution (the annealer's
-  // per-move candidate copy) reserves every task list to the task count
-  // once, so steady-state copies and mutations never allocate.
+  // Copies keep their storage: assigning into a solution (a best-so-far
+  // snapshot, a replica-exchange reset) reserves every task list to the
+  // task count once, so later copies and mutations never allocate.
   Solution(const Solution&) = default;
   Solution(Solution&&) noexcept = default;
   Solution& operator=(const Solution& other);
@@ -262,7 +304,103 @@ class Solution {
     }
   };
 
+  /// One logged write to a positional mirror, undone by replaying the
+  /// ops backwards. Per-task state (placement and link counts) is logged
+  /// apart, as TaskRecords: it is plain per-task slots, restored after the
+  /// ops, and no op's undo reads it.
+  struct UndoOp {
+    enum class Kind : std::uint8_t {
+      kOrderInsert,    ///< proc_order_[res] gained an entry at pos
+      kOrderErase,     ///< proc_order_[res] lost `value` at pos
+      kAsicPush,       ///< asic_tasks_[res] gained a last entry
+      kAsicErase,      ///< asic_tasks_[res] lost `value` at pos
+      /// rcs_[res].members gained an entry at pos, and each of
+      /// ends[aux..] grew by one
+      kMemberInsert,
+      /// rcs_[res].members lost `value` at pos, and each of ends[aux..]
+      /// shrank by one
+      kMemberErase,
+      kMemberSet,      ///< rcs_[res].members[pos] was `value`
+      kEndSet,         ///< rcs_[res].ends[pos] was `value`
+      kClbSet,         ///< rcs_[res].clbs[pos] was `aux`
+      kContextInsert,  ///< a context was inserted at pos of rcs_[res]
+      kContextErase,   ///< context pos (end `value`, sum `aux`) was erased
+      kProcSlots,      ///< proc_order_ grew from `value` slots
+      kRcSlots,        ///< rcs_ grew from `value` slots
+      kAsicSlots,      ///< asic_tasks_ grew from `value` slots
+    };
+    Kind kind;
+    ResourceId res;
+    std::uint32_t pos;
+    std::uint32_t value;
+    std::int32_t aux;
+  };
+  /// A task's placement and link counts before a write.
+  struct TaskRecord {
+    TaskId task;
+    Placement placement;
+    ContextLinks links;
+  };
+  /// The log proper. Not part of the value: a copy starts without one.
+  struct UndoLog {
+    bool on = false;
+    std::vector<UndoOp> ops;
+    std::vector<TaskRecord> tasks;
+    std::size_t touched = 0;
+    std::size_t touched_tasks = 0;
+    std::vector<ContextEdit> edits;
+
+    UndoLog() = default;
+    UndoLog(const UndoLog&) {}
+    UndoLog(UndoLog&&) noexcept = default;
+    UndoLog& operator=(const UndoLog&) {
+      clear();
+      return *this;
+    }
+    UndoLog& operator=(UndoLog&&) noexcept = default;
+    ~UndoLog() = default;
+    void clear() {
+      on = false;
+      ops.clear();
+      tasks.clear();
+    }
+  };
+
+  /// rollback() proper: replay the log backwards, then clear it.
+  void replay_undo();
+  /// Log helpers: record the old value (when logging). A bystander's
+  /// placement or link counts are logged before each write through
+  /// placement_for_write / links_for_write; a task the mutator moves
+  /// itself was logged by touch_task, so its own writes go direct.
+  void log_op(UndoOp::Kind kind, ResourceId res, std::uint32_t pos,
+              std::uint32_t value = 0, std::int32_t aux = 0) const {
+    if (undo_.on) undo_.ops.push_back({kind, res, pos, value, aux});
+  }
+  void log_task(TaskId task) const {
+    if (undo_.on) undo_.tasks.push_back({task, placement_[task], links_[task]});
+  }
+  Placement& placement_for_write(TaskId task) {
+    log_task(task);
+    return placement_[task];
+  }
+  ContextLinks& links_for_write(TaskId task) const {
+    log_task(task);
+    return links_[task];
+  }
+  void set_clbs(ResourceId rc, std::size_t ctx, std::int32_t value) const {
+    std::int32_t& slot = rcs_[rc].clbs[ctx];
+    log_op(UndoOp::Kind::kClbSet, rc, static_cast<std::uint32_t>(ctx), 0,
+           slot);
+    slot = value;
+  }
+  /// slot_at with the growth logged.
+  template <typename Slots>
+  typename Slots::value_type& slot_for_write(Slots& slots, ResourceId id,
+                                             UndoOp::Kind kind);
+
   void touch(ResourceId id);
+  /// Journal `id` as touched; while logging, also log its placement and
+  /// link counts the first time this staging touches it.
   void touch_task(TaskId id);
   /// Journal index of the first run of `rc` ending after `ctx` (or
   /// where one would go); `shift` is the new-minus-old index offset the
@@ -301,6 +439,9 @@ class Solution {
   std::vector<ResourceId> touched_;
   std::vector<TaskId> touched_tasks_;
   std::vector<ContextEdit> edits_;
+  /// Writes since begin_undo(); mutable because warm_context (const, like
+  /// the mirrors it fills) logs too.
+  mutable UndoLog undo_;
 };
 
 }  // namespace rdse

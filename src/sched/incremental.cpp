@@ -196,8 +196,6 @@ TimeNs DeltaRelaxer::relax(const WeightedDag& dag,
   const Digraph& g = *dag.graph;
   const std::size_t n = g.node_count();
   RDSE_REQUIRE(n == rank_.size(), "DeltaRelaxer::relax: node count changed");
-  const std::vector<std::uint32_t>& rank = rank_;
-  const std::vector<NodeId>& order = order_;
   stats_.seed_nodes += static_cast<std::int64_t>(seeds.size());
 
   // Multi-seed dirty propagation in ascending rank order via the schedule
@@ -209,41 +207,56 @@ TimeNs DeltaRelaxer::relax(const WeightedDag& dag,
   // first, so a rejected probe replays it backwards instead of a v3-style
   // O(V) buffer copy per probe.
   queued_.assign((n + 63) / 64, 0);
+  std::uint64_t* const queued = queued_.data();
+  const std::uint32_t* const rank = rank_.data();
+  const NodeId* const order = order_.data();
+  TimeNs* const start = start_.data();
+  TimeNs* const finish = finish_.data();
+  const TimeNs* const node_weight = dag.node_weight.data();
+  const TimeNs* const release =
+      dag.release.empty() ? nullptr : dag.release.data();
+  const TimeNs makespan = makespan_;
   for (NodeId v : seeds) {
     const std::uint32_t r = rank[v];
-    queued_[r >> 6] |= std::uint64_t{1} << (r & 63);
+    queued[r >> 6] |= std::uint64_t{1} << (r & 63);
   }
 
   // Incremental makespan bookkeeping: `at_max` tracks how many candidate
   // nodes still finish exactly at the committed makespan (changed nodes
   // migrate out of / into the set as they are overwritten), `changed_max`
   // the maximum (and multiplicity) over the values written this probe.
+  // The word being scanned lives in a register (`word`): an out-edge into
+  // it sets its bit there, one into a later word sets it in memory. With
+  // the arrays read through the pointers hoisted above, the int64 stores
+  // to start/finish force no reload of the scan word or of a vector's or
+  // span's internals (an int64 store may alias a uint64 or size_t).
   std::uint32_t relaxed = 0;
   std::int64_t at_max = count_at_max_;
   TimeNs changed_max = 0;
   std::int64_t changed_max_count = 0;
-  for (std::size_t w = 0; w < queued_.size(); ++w) {
-    while (queued_[w] != 0) {
-      const auto bit =
-          static_cast<std::uint32_t>(std::countr_zero(queued_[w]));
-      queued_[w] &= queued_[w] - 1;
+  const std::size_t words = queued_.size();
+  for (std::size_t w = 0; w < words; ++w) {
+    std::uint64_t word = queued[w];
+    while (word != 0) {
+      const auto bit = static_cast<std::uint32_t>(std::countr_zero(word));
+      word &= word - 1;
       const NodeId v = order[(w << 6) | bit];
       ++relaxed;
-      TimeNs s = dag.release.empty() ? 0 : dag.release[v];
+      TimeNs s = release == nullptr ? 0 : release[v];
       for (const HalfEdge& h : g.in_half(v)) {
         RDSE_DCHECK(h.weight == dag.edge_weight[h.edge],
                     "DeltaRelaxer::relax: half-edge weight mirror desynced");
-        s = std::max(s, finish_[h.node] + h.weight);
+        s = std::max(s, finish[h.node] + h.weight);
       }
-      const TimeNs f = s + dag.node_weight[v];
-      if (s == start_[v] && f == finish_[v]) {
+      const TimeNs f = s + node_weight[v];
+      if (s == start[v] && f == finish[v]) {
         continue;  // unchanged: downstream unaffected through this node
       }
-      journal_.push_back({v, start_[v], finish_[v]});
-      if (finish_[v] == makespan_) --at_max;
-      start_[v] = s;
-      finish_[v] = f;
-      if (f == makespan_) ++at_max;
+      journal_.push_back({v, start[v], finish[v]});
+      if (finish[v] == makespan) --at_max;
+      start[v] = s;
+      finish[v] = f;
+      if (f == makespan) ++at_max;
       if (f > changed_max) {
         changed_max = f;
         changed_max_count = 1;
@@ -252,7 +265,12 @@ TimeNs DeltaRelaxer::relax(const WeightedDag& dag,
       }
       for (const HalfEdge& h : g.out_half(v)) {
         const std::uint32_t r = rank[h.node];
-        queued_[r >> 6] |= std::uint64_t{1} << (r & 63);
+        const std::uint64_t mask = std::uint64_t{1} << (r & 63);
+        if ((r >> 6) == w) {
+          word |= mask;
+        } else {
+          queued[r >> 6] |= mask;
+        }
       }
     }
   }

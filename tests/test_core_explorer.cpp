@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/explorer.hpp"
 #include "core/report.hpp"
@@ -230,6 +233,86 @@ TEST_F(ExplorerFixture, TraceCsvRoundTrip) {
   EXPECT_EQ(trace.downsample(100).size(), 10u);
   EXPECT_EQ(trace.downsample(5).rows().back().iteration, 9);
   EXPECT_THROW((void)trace.downsample(1), Error);
+}
+
+TEST(BatchedProbes, PinnedToTheCopyBasedPath) {
+  // Best-of-K stages every probe in place on the committed solution, rolls
+  // it back before the next draw and replays the winner from its saved
+  // generator state. These constants were recorded from the copy-based
+  // path it replaced (a fresh candidate copy per probe, the winner's copy
+  // kept aside): best makespan and per-class counters must not move, for
+  // K = 2 and 8, with and without the adaptive mix, and with architecture
+  // moves (p_zero > 0, which stage m3/m4 on a candidate architecture).
+  struct Case {
+    int batch;
+    bool adaptive;
+    double p_zero;
+    TimeNs best;
+    std::array<std::array<std::int64_t, 5>, kMoveKindCount> stats;
+  };
+  const std::vector<Case> cases = {
+      {2, false, 0.0, 20590365,
+       {{{2385, 2103, 192, 90, 60},
+         {4726, 96, 3660, 970, 321},
+         {0, 0, 0, 0, 0},
+         {0, 0, 0, 0, 0},
+         {1321, 503, 0, 818, 456},
+         {368, 14, 335, 19, 18}}}},
+      {2, true, 0.0, 19503202,
+       {{{2447, 2229, 133, 85, 70},
+         {3751, 70, 2903, 778, 269},
+         {0, 0, 0, 0, 0},
+         {0, 0, 0, 0, 0},
+         {1808, 688, 0, 1120, 566},
+         {794, 124, 621, 49, 40}}}},
+      {8, false, 0.0, 19903719,
+       {{{10040, 9414, 443, 183, 84},
+         {18394, 305, 14393, 3696, 779},
+         {0, 0, 0, 0, 0},
+         {0, 0, 0, 0, 0},
+         {5296, 1561, 0, 3735, 1457},
+         {1470, 37, 1367, 66, 31}}}},
+      {8, true, 0.0, 19569956,
+       {{{8516, 8065, 310, 141, 63},
+         {16029, 248, 12484, 3297, 746},
+         {0, 0, 0, 0, 0},
+         {0, 0, 0, 0, 0},
+         {8361, 2357, 0, 6004, 2284},
+         {2294, 76, 2078, 140, 61}}}},
+      {8, true, 0.05, 2041787,
+       {{{5437, 5412, 13, 12, 5},
+         {3555, 541, 52, 2962, 574},
+         {10465, 10330, 1, 134, 52},
+         {358, 0, 0, 358, 54},
+         {13453, 57, 0, 13396, 3604},
+         {1932, 1932, 0, 0, 0}}}},
+  };
+  const Application app = make_motion_detection_app();
+  const Explorer explorer(
+      app.graph, make_cpu_fpga_architecture(400, kMotionDetectionTrPerClb,
+                                            kMotionDetectionBusRate));
+  for (const Case& c : cases) {
+    ExplorerConfig config;
+    config.seed = 7;
+    config.iterations = 4000;
+    config.warmup_iterations = 400;
+    config.batch = c.batch;
+    config.adaptive_move_mix = c.adaptive;
+    config.moves.p_zero = c.p_zero;
+    config.record_trace = false;
+    const RunResult r = explorer.run(config);
+    const std::string where = "K " + std::to_string(c.batch) + ", mix " +
+                              std::to_string(c.adaptive) + ", p_zero " +
+                              std::to_string(c.p_zero);
+    EXPECT_EQ(r.best_metrics.makespan, c.best) << where;
+    for (std::size_t k = 0; k < kMoveKindCount; ++k) {
+      const MoveClassStats& s = r.move_stats[k];
+      const std::array<std::int64_t, 5> got = {
+          s.drawn, s.null_draws, s.infeasible, s.evaluated, s.accepted};
+      EXPECT_EQ(got, c.stats[k])
+          << where << ", " << to_string(static_cast<MoveKind>(k));
+    }
+  }
 }
 
 TEST(ExplorerGuards, RequiresProcessor) {

@@ -1,15 +1,18 @@
 /// The annealing hot path is allocation-free in steady state: once the
-/// candidate buffers, the evaluator's pools and the relaxer's journals have
-/// grown to their working size, a propose/accept/reject step performs no
-/// heap allocation at all — move draws, Solution copies and mutations, the
-/// incremental evaluation and its rollback included. Global operator new is
-/// replaced in this test binary to count allocations.
+/// solution's undo log, the evaluator's pools and the relaxer's journals
+/// have grown to their working size, a propose/accept/reject step performs
+/// no heap allocation at all — move draws, in-place staging and rollback of
+/// the Solution, the incremental evaluation and its rollback, best-of-K
+/// winner replays and the adaptive move mix included. Global operator new
+/// is replaced in this test binary to count allocations.
 ///
 /// "Steady state" is made exact by replay: a stretch of steps is run once
 /// from a captured state (its buffers grow to what that stretch needs, as
 /// amortized vector growth does at any new high-water mark), then replayed
 /// from the same state with the same random stream — and the replay must
-/// not allocate once. A per-step allocation shows up in every replay.
+/// not allocate once. A per-step allocation shows up in every replay. The
+/// adaptive move mix's state is captured and restored with the rest, so the
+/// replay draws the same classes.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +23,7 @@
 #include "core/problem.hpp"
 #include "model/motion_detection.hpp"
 #include "sched/incremental_eval.hpp"
+#include "util/json.hpp"
 
 namespace {
 std::atomic<std::int64_t> g_allocations{0};
@@ -59,9 +63,15 @@ std::int64_t allocations_in_steady_state(DseProblem& problem, int warmup,
   run_steps(problem, 3, warmup);
   const Architecture arch = problem.current_architecture();
   const Solution sol = problem.current_solution();
-  problem.reset_state(arch, sol);
+  JsonValue mix = JsonValue::object();
+  if (problem.move_mix() != nullptr) problem.move_mix()->save_state(mix);
+  const auto restore = [&] {
+    problem.reset_state(arch, sol);
+    if (problem.move_mix() != nullptr) problem.move_mix()->load_state(mix);
+  };
+  restore();
   run_steps(problem, 17, steps);
-  problem.reset_state(arch, sol);
+  restore();
   const std::int64_t before = g_allocations.load();
   run_steps(problem, 17, steps);
   return g_allocations.load() - before;
@@ -79,6 +89,31 @@ TEST(HotPathAllocations, SteadyStateStepsAllocateNothing) {
                        /*full_eval=*/false);
     EXPECT_EQ(allocations_in_steady_state(problem, 5'000, 10'000), 0)
         << clbs << " CLBs";
+  }
+}
+
+TEST(HotPathAllocations, BatchedAndAdaptiveStepsAllocateNothing) {
+  // Best-of-K stages every probe in place and rolls it back before the
+  // next draw, then replays the winner: K = 8 with and without the adaptive
+  // mix, and the adaptive mix at K = 1, all in a rejection-heavy steady
+  // state.
+  const Application app = make_motion_detection_app();
+  struct Case {
+    int batch;
+    bool adaptive;
+  };
+  for (const std::int32_t clbs : {100, 10'000}) {
+    const Architecture arch = make_cpu_fpga_architecture(
+        clbs, kMotionDetectionTrPerClb, kMotionDetectionBusRate);
+    for (const Case c : {Case{8, false}, Case{8, true}, Case{1, true}}) {
+      Rng init(static_cast<std::uint64_t>(clbs));
+      const Solution initial =
+          Solution::random_partition(app.graph, arch, 0, 1, init);
+      DseProblem problem(app.graph, arch, initial, {}, {}, c.adaptive,
+                         /*full_eval=*/false, c.batch);
+      EXPECT_EQ(allocations_in_steady_state(problem, 2'000, 4'000), 0)
+          << clbs << " CLBs, K " << c.batch << ", adaptive " << c.adaptive;
+    }
   }
 }
 

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <string>
 #include <vector>
 
+#include "core/moves.hpp"
 #include "mapping/search_graph.hpp"
 #include "mapping/solution.hpp"
 #include "mapping/validation.hpp"
@@ -351,6 +353,140 @@ TEST(SolutionContextState, MaintainedStateMatchesScratchUnderChurn) {
       if (::testing::Test::HasFatalFailure()) return;
     }
   }
+}
+
+// ---- undo log ---------------------------------------------------------------
+
+/// Everything a rollback must restore: the value, the mirrors, every CLB sum
+/// (cold -1 entries included), every link count and the mutation journal.
+void expect_restored(const Solution& want, const Solution& got,
+                     std::size_t resource_slots, const std::string& where) {
+  ASSERT_TRUE(got == want) << where;
+  got.check_mirrors();
+  for (ResourceId r = 0; r < resource_slots; ++r) {
+    ASSERT_EQ(got.context_count(r), want.context_count(r)) << where;
+    for (std::size_t c = 0; c < want.context_count(r); ++c) {
+      ASSERT_EQ(got.context_clbs_cached(r, c), want.context_clbs_cached(r, c))
+          << where << ", rc " << r << ", ctx " << c;
+    }
+  }
+  for (TaskId t = 0; t < want.task_count(); ++t) {
+    ASSERT_EQ(got.context_links(t).preds, want.context_links(t).preds)
+        << where << ", t" << t;
+    ASSERT_EQ(got.context_links(t).succs, want.context_links(t).succs)
+        << where << ", t" << t;
+  }
+  const auto eq = [](auto a, auto b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  };
+  ASSERT_TRUE(eq(got.touched_resources(), want.touched_resources())) << where;
+  ASSERT_TRUE(eq(got.touched_tasks(), want.touched_tasks())) << where;
+  const auto edits_a = got.context_edits();
+  const auto edits_b = want.context_edits();
+  ASSERT_EQ(edits_a.size(), edits_b.size()) << where;
+  for (std::size_t i = 0; i < edits_a.size(); ++i) {
+    const Solution::ContextEdit& a = edits_a[i];
+    const Solution::ContextEdit& b = edits_b[i];
+    ASSERT_TRUE(a.rc == b.rc && a.old_pos == b.old_pos &&
+                a.old_len == b.old_len && a.new_pos == b.new_pos &&
+                a.new_len == b.new_len && a.old_clbs == b.old_clbs &&
+                a.old_max == b.old_max &&
+                a.members_changed == b.members_changed)
+        << where << ", edit " << i;
+  }
+}
+
+TEST(SolutionUndo, RollbackRestoresEveryMoveClassExactly) {
+  // Seeded random stagings on a processor + RC + ASIC system: every §4.2
+  // move class through generate_move (m1-m4 with p_zero > 0, ASIC moves,
+  // implementation changes, context swaps, spawns and collapses), and raw
+  // mutators without the task graph, which leave contexts cold for later
+  // moves and warm_context calls to re-warm under the log. Half of the
+  // stagings are rolled back and must restore the copy taken before them;
+  // the rest are kept, so the state keeps evolving.
+  std::array<int, kMoveKindCount> applied{};
+  int cold_rollbacks = 0;  // rollbacks to a state with a cold context
+  int asic_moves = 0;      // stagings that touched the ASIC
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    AppGenParams params;
+    params.dag.node_count = 20;
+    params.dag.max_width = 4;
+    params.hw_capable_fraction = 0.9;
+    Rng gen(seed);
+    const Application app = random_application(params, gen);
+    const TaskGraph& tg = app.graph;
+    Architecture arch =
+        make_cpu_fpga_architecture(400, from_us(10.0), 10'000'000);
+    arch.add_asic("asic");
+    Rng rng(seed * 104729);
+    Solution sol = Solution::random_partition(tg, arch, 0, 1, rng);
+    MoveConfig config;
+    config.p_zero = 0.1;
+    config.p_resource_target = 0.3;
+    std::size_t rollbacks = 0;
+    for (int step = 0; step < 600; ++step) {
+      const std::string where =
+          "seed " + std::to_string(seed) + ", step " + std::to_string(step);
+      sol.clear_touched();
+      const Solution before = sol;
+      Architecture cand = arch;
+      sol.begin_undo();
+      if (rng.bernoulli(0.8)) {
+        const MoveOutcome out = generate_move(tg, cand, sol, config, rng);
+        applied[static_cast<std::size_t>(out.kind)] += out.applied ? 1 : 0;
+      } else {
+        // Raw mutators without the task graph: the contexts they touch go
+        // cold.
+        const auto t = static_cast<TaskId>(rng.index(tg.task_count()));
+        const Placement p = sol.placement(t);
+        const std::size_t n_ctx = sol.context_count(1);
+        if (p.context >= 0 && rng.bernoulli(0.3)) {
+          sol.set_impl(
+              t, static_cast<std::uint32_t>(rng.index(tg.task(t).hw.size())));
+        } else if (tg.task(t).hw_capable() && p.resource != kInvalidResource) {
+          sol.remove_task(t);
+          const std::size_t n = sol.context_count(1);
+          const std::size_t ctx =
+              n == 0 || rng.bernoulli(0.3)
+                  ? sol.spawn_context_after(
+                        1, n == 0 ? Solution::kFront : rng.index(n))
+                  : rng.index(n);
+          sol.insert_in_context(t, 1, ctx, 0);
+        } else if (n_ctx >= 2) {
+          sol.swap_contexts(1, rng.index(n_ctx), rng.index(n_ctx));
+        }
+      }
+      // Evaluation warms cold contexts on the candidate; the log covers it.
+      for (std::size_t c = 0; c < sol.context_count(1); ++c) {
+        if (rng.bernoulli(0.5)) sol.warm_context(tg, 1, c);
+      }
+      // A copy never carries the log.
+      const Solution copy = sol;
+      EXPECT_EQ(copy.undo_entries(), 0u) << where;
+      const auto touched = sol.touched_resources();
+      asic_moves += std::count(touched.begin(), touched.end(), 2);
+      if (rng.bernoulli(0.5)) {
+        for (std::size_t c = 0; c < before.context_count(1); ++c) {
+          cold_rollbacks += before.context_clbs_cached(1, c) < 0 ? 1 : 0;
+        }
+        sol.rollback();
+        ++rollbacks;
+        expect_restored(before, sol, cand.slot_count(), where);
+        EXPECT_EQ(sol.undo_entries(), 0u) << where;
+      } else {
+        sol.drop_undo();
+        sol.check_mirrors();
+        arch = std::move(cand);
+      }
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    EXPECT_GT(rollbacks, 200u);
+  }
+  for (std::size_t k = 0; k < kMoveKindCount; ++k) {
+    EXPECT_GT(applied[k], 0) << to_string(static_cast<MoveKind>(k));
+  }
+  EXPECT_GT(cold_rollbacks, 0);
+  EXPECT_GT(asic_moves, 0);
 }
 
 class RandomPartition : public ::testing::TestWithParam<std::uint64_t> {};

@@ -635,7 +635,8 @@ TEST(RdseCli, CompareGatesCountersExactlyAndTimingsByTolerance) {
   // Every other deterministic counter of the hot-path bench is gated the
   // same way.
   for (const char* name :
-       {"relax_reduction", "journal_entries_per_probe", "makespan_rescan_rate",
+       {"relax_reduction", "journal_entries_per_probe",
+        "solution_undo_entries_per_probe", "makespan_rescan_rate",
         "cyclic_probe_rate", "precedence_refused_rate", "rank_refresh_rate",
         "rank_repair_nodes_per_probe",
         "seq_diff_hit_rate", "seq_edges_added_per_eval",
