@@ -200,12 +200,12 @@ TimeNs DeltaRelaxer::relax(const WeightedDag& dag,
 
   // Multi-seed dirty propagation in ascending rank order via the schedule
   // bitmask. Every node is processed at most once: its predecessors (lower
-  // rank) are final when its bit is consumed, because bits are only ever
-  // set above the scan position (edges ascend in rank) or by the up-front
-  // seeding. Candidate values are written directly over the committed
-  // arrays; each changed node's committed values go into the journal
-  // first, so a rejected probe replays it backwards instead of a v3-style
-  // O(V) buffer copy per probe.
+  // rank) are final when the sweep reaches its bit, because bits are only
+  // ever set above the scan position (edges ascend in rank) or by the
+  // up-front seeding. Candidate values are written directly over the
+  // committed arrays; each changed node's committed values go into the
+  // journal first, so a rejected probe replays it backwards instead of a
+  // v3-style O(V) buffer copy per probe.
   queued_.assign((n + 63) / 64, 0);
   std::uint64_t* const queued = queued_.data();
   const std::uint32_t* const rank = rank_.data();
@@ -225,11 +225,18 @@ TimeNs DeltaRelaxer::relax(const WeightedDag& dag,
   // nodes still finish exactly at the committed makespan (changed nodes
   // migrate out of / into the set as they are overwritten), `changed_max`
   // the maximum (and multiplicity) over the values written this probe.
-  // The word being scanned lives in a register (`word`): an out-edge into
-  // it sets its bit there, one into a later word sets it in memory. With
-  // the arrays read through the pointers hoisted above, the int64 stores
-  // to start/finish force no reload of the scan word or of a vector's or
-  // span's internals (an int64 store may alias a uint64 or size_t).
+  //
+  // Each non-empty word is swept forward from its lowest set bit. After
+  // rank r the sweep tries r + 1 first; on a dense frontier that bit is
+  // usually set, so the address of the next order[] and in-edge loads is
+  // known before r's out-edges finish writing the word (a predicted branch
+  // instead of a countr_zero that waits on those writes). A gap costs one
+  // countr_zero of the bits ahead. The word being swept lives in a
+  // register (`word`): an out-edge into it sets its bit there, one into a
+  // later word sets it in memory. With the arrays read through the
+  // pointers hoisted above, the int64 stores to start/finish force no
+  // reload of the scan word or of a vector's or span's internals (an int64
+  // store may alias a uint64 or size_t).
   std::uint32_t relaxed = 0;
   std::int64_t at_max = count_at_max_;
   TimeNs changed_max = 0;
@@ -237,9 +244,9 @@ TimeNs DeltaRelaxer::relax(const WeightedDag& dag,
   const std::size_t words = queued_.size();
   for (std::size_t w = 0; w < words; ++w) {
     std::uint64_t word = queued[w];
-    while (word != 0) {
-      const auto bit = static_cast<std::uint32_t>(std::countr_zero(word));
-      word &= word - 1;
+    if (word == 0) continue;
+    auto bit = static_cast<std::uint32_t>(std::countr_zero(word));
+    for (;;) {
       const NodeId v = order[(w << 6) | bit];
       ++relaxed;
       TimeNs s = release == nullptr ? 0 : release[v];
@@ -249,28 +256,34 @@ TimeNs DeltaRelaxer::relax(const WeightedDag& dag,
         s = std::max(s, finish[h.node] + h.weight);
       }
       const TimeNs f = s + node_weight[v];
-      if (s == start[v] && f == finish[v]) {
-        continue;  // unchanged: downstream unaffected through this node
-      }
-      journal_.push_back({v, start[v], finish[v]});
-      if (finish[v] == makespan) --at_max;
-      start[v] = s;
-      finish[v] = f;
-      if (f == makespan) ++at_max;
-      if (f > changed_max) {
-        changed_max = f;
-        changed_max_count = 1;
-      } else if (f == changed_max) {
-        ++changed_max_count;
-      }
-      for (const HalfEdge& h : g.out_half(v)) {
-        const std::uint32_t r = rank[h.node];
-        const std::uint64_t mask = std::uint64_t{1} << (r & 63);
-        if ((r >> 6) == w) {
-          word |= mask;
-        } else {
-          queued[r >> 6] |= mask;
+      // An unchanged node leaves its successors' inputs alone.
+      if (s != start[v] || f != finish[v]) {
+        journal_.push_back({v, start[v], finish[v]});
+        if (finish[v] == makespan) --at_max;
+        start[v] = s;
+        finish[v] = f;
+        if (f == makespan) ++at_max;
+        if (f > changed_max) {
+          changed_max = f;
+          changed_max_count = 1;
+        } else if (f == changed_max) {
+          ++changed_max_count;
         }
+        for (const HalfEdge& h : g.out_half(v)) {
+          const std::uint32_t r = rank[h.node];
+          const std::uint64_t mask = std::uint64_t{1} << (r & 63);
+          if ((r >> 6) == w) {
+            word |= mask;
+          } else {
+            queued[r >> 6] |= mask;
+          }
+        }
+      }
+      if (++bit == 64) break;
+      const std::uint64_t ahead = word >> bit;
+      if ((ahead & 1) == 0) {
+        if (ahead == 0) break;
+        bit += static_cast<std::uint32_t>(std::countr_zero(ahead));
       }
     }
   }

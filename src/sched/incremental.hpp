@@ -76,8 +76,9 @@ struct DeltaRelaxStats {
 ///     whose local inputs changed. It inherits the committed values
 ///     everywhere else and re-relaxes in topological-rank order only while
 ///     values keep changing — a dirty-set propagation from several seeds at
-///     once. Results are bit-identical to a full recomputation
-///     (property-tested).
+///     once, walked as a forward sweep over a rank-indexed bitmask (the
+///     next rank is tried first, a gap is skipped by one bit scan).
+///     Results are bit-identical to a full recomputation (property-tested).
 ///
 /// probe() runs both steps for an edit that is already in the graph.
 ///
@@ -283,9 +284,11 @@ class DeltaRelaxer {
   /// bit-exactly).
   void rollback_probe();
 
-  /// Rank-indexed schedule bitmask: relaxation processes ranks in ascending
-  /// order and every queued rank is strictly above the scan position (edges
-  /// ascend), so one pass over the words replaces a priority queue.
+  /// Rank-indexed schedule bitmask: relaxation sweeps the rank positions
+  /// of each non-empty word forward, and every rank queued during the sweep
+  /// is strictly above its position (edges ascend), so one forward sweep
+  /// visits every queued node in topological order — no priority queue,
+  /// and no bit-scan between two adjacent ranks.
   std::vector<std::uint64_t> queued_;
 
   // repair_ranks scratch, reused across probes (steady state: no

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "graph/generators.hpp"
 #include "graph/topo.hpp"
 #include "sched/incremental.hpp"
@@ -133,18 +135,25 @@ TEST(DeltaRelaxer, CycleProbeMatchesReachability) {
   EXPECT_GT(cyclic, 20);  // the self-loops alone, plus real back edges
 }
 
-class DeltaRelaxerSeeds : public ::testing::TestWithParam<std::uint64_t> {};
+/// (seed, node count). 30 nodes fit in one 64-rank schedule word; 200 span
+/// four, so seeds land in later words, out-edges cross into later words and
+/// the sweep skips gaps inside a word. The edge probability keeps the
+/// expected out-degree near 2 at either size, so edits stay local.
+class DeltaRelaxerSeeds
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, std::size_t>> {
+};
 
 TEST_P(DeltaRelaxerSeeds, ProbeMatchesFullRelaxAndCommitAdvances) {
-  Rng rng(GetParam());
+  const auto [seed, n] = GetParam();
+  Rng rng(seed);
   Mirror m;
-  m.graph = random_order_dag(30, 0.15, rng);
-  m.node_weight.resize(30);
+  m.graph = random_order_dag(n, 4.5 / static_cast<double>(n), rng);
+  m.node_weight.resize(n);
   for (auto& w : m.node_weight) w = rng.uniform_int(1, 100);
   for (EdgeId e = 0; e < m.graph.edge_capacity(); ++e) {
     m.graph.set_edge_weight(e, rng.uniform_int(0, 25));
   }
-  m.release.assign(30, 0);
+  m.release.assign(n, 0);
 
   DeltaRelaxer relaxer;
   relaxer.reset(m.dag());
@@ -159,11 +168,11 @@ TEST_P(DeltaRelaxerSeeds, ProbeMatchesFullRelaxAndCommitAdvances) {
     std::vector<EdgeId> new_edges;
     const double dice = rng.uniform01();
     if (dice < 0.3) {
-      const NodeId v = static_cast<NodeId>(rng.index(30));
+      const NodeId v = static_cast<NodeId>(rng.index(n));
       cand.node_weight[v] = rng.uniform_int(1, 100);
       seeds.push_back(v);
     } else if (dice < 0.45) {
-      const NodeId v = static_cast<NodeId>(rng.index(30));
+      const NodeId v = static_cast<NodeId>(rng.index(n));
       cand.release[v] = rng.uniform_int(0, 150);
       seeds.push_back(v);
     } else if (dice < 0.6) {  // re-weigh a live edge
@@ -176,8 +185,8 @@ TEST_P(DeltaRelaxerSeeds, ProbeMatchesFullRelaxAndCommitAdvances) {
       cand.graph.set_edge_weight(e, rng.uniform_int(0, 25));
       seeds.push_back(cand.graph.edge(e).dst);
     } else if (dice < 0.8) {  // insert an edge (may create a cycle)
-      const NodeId u = static_cast<NodeId>(rng.index(30));
-      const NodeId v = static_cast<NodeId>(rng.index(30));
+      const NodeId u = static_cast<NodeId>(rng.index(n));
+      const NodeId v = static_cast<NodeId>(rng.index(n));
       if (u == v) continue;
       const EdgeId id = cand.graph.add_edge(u, v, rng.uniform_int(0, 25));
       seeds.push_back(v);
@@ -212,7 +221,7 @@ TEST_P(DeltaRelaxerSeeds, ProbeMatchesFullRelaxAndCommitAdvances) {
       m = cand;
       EXPECT_EQ(relaxer.makespan(), m.full_makespan());
       const auto full = longest_path(m.dag());
-      for (NodeId v = 0; v < 30; ++v) {
+      for (NodeId v = 0; v < n; ++v) {
         ASSERT_EQ(relaxer.start_of(v), full.start[v]);
         ASSERT_EQ(relaxer.finish_of(v), full.finish[v]);
       }
@@ -228,8 +237,10 @@ TEST_P(DeltaRelaxerSeeds, ProbeMatchesFullRelaxAndCommitAdvances) {
   EXPECT_LT(stats.makespan_rescans, stats.probes / 2);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, DeltaRelaxerSeeds,
-                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, DeltaRelaxerSeeds,
+    ::testing::Combine(::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10),
+                       ::testing::Values(std::size_t{30}, std::size_t{200})));
 
 TEST(DeltaRelaxer, NoSeedsRelaxesNothing) {
   Rng rng(23);
