@@ -37,6 +37,7 @@
 #include "core/problem.hpp"
 #include "model/generators.hpp"
 #include "model/motion_detection.hpp"
+#include "bench_common.hpp"
 #include "model/registry.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
@@ -44,6 +45,21 @@
 using namespace rdse;
 
 namespace {
+
+constexpr const char* kUsage = R"(options (command line beats environment):
+  --moves N   / RDSE_MOVES   moves per model; synthetic_1000 and
+                             synthetic_5000 run 400               [20000]
+  --seed S    / RDSE_SEED    base seed                            [1]
+  --repeat R  / RDSE_REPEAT  drives per path; the fastest is kept [3]
+  --json PATH                write the rdse.bench.v1 artifact
+)";
+
+struct Args {
+  std::int64_t moves = 0;
+  std::uint64_t seed = 0;
+  int repeats = 0;
+  std::string json;
+};
 
 /// Moves per run of the synthetic:1000 and synthetic:5000 rows.
 constexpr std::int64_t kScaleMoves = 400;
@@ -361,13 +377,21 @@ void write_json(const std::string& path, std::int64_t moves,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opts = Options::parse(argc, argv);
-  const std::int64_t moves = opts.get_int("moves", 20'000, "RDSE_MOVES");
-  const auto seed =
-      static_cast<std::uint64_t>(opts.get_int("seed", 1, "RDSE_SEED"));
-  const int repeats =
-      static_cast<int>(opts.get_int("repeat", 3, "RDSE_REPEAT"));
-  const std::string json = opts.get_string("json", "");
+  const auto [moves, seed, repeats, json] =
+      bench::parse_or_exit(argc, argv, kUsage, [&] {
+        const Options opts = Options::parse(argc, argv);
+        Args args;
+        args.moves = get_int_as<std::int64_t>(opts, "moves", 20'000, 1,
+                                              "need at least one move",
+                                              "RDSE_MOVES");
+        args.seed = get_int_as<std::uint64_t>(opts, "seed", 1, 0,
+                                              "negative seed", "RDSE_SEED");
+        args.repeats = get_int_as<int>(opts, "repeat", 3, 1,
+                                       "need at least one repeat",
+                                       "RDSE_REPEAT");
+        args.json = opts.get_string("json", "");
+        return args;
+      });
 
   std::vector<ModelReport> reports;
 

@@ -9,7 +9,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <limits>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -120,9 +119,13 @@ serve options:
   --cache N         solution-cache entries (0 disables)       [128]
   --run-threads N   threads per multi-run/sweep execution     [1]
   --max-iters N     per-request iteration cap (iters+warmup)  [1000000]
-  --persist PATH    crash-safe solution-cache database (rdse.cachedb.v1):
-                    loaded and verified at startup, rewritten atomically
-                    after every fresh result
+  --persist PATH    crash-safe solution-cache database (rdse.cachedb.v2):
+                    loaded and verified at startup; each fresh result
+                    appends one fsync'd record; compacted (atomic
+                    rewrite) at drain, SIGHUP, startup when the file has
+                    dead or bad lines or is v1, and once dead records
+                    outnumber live entries. A hit's recency is persisted
+                    only at compaction
   --journal PATH    write-ahead work journal (rdse.journal.v1): accepted
                     work and its state transitions are appended durably;
                     at startup the journal is replayed — accepted-but-not-
@@ -195,24 +198,6 @@ std::vector<std::int32_t> parse_sizes(const std::string& csv) {
 void require_no_positionals(const Options& opts) {
   RDSE_REQUIRE(opts.positional().empty(),
                "unexpected argument '" + opts.positional().front() + "'");
-}
-
-/// Integer option --NAME (or `env_name`) as a T: refused below `min` with
-/// `below_min`, and refused when T cannot hold it — a narrowing cast would
-/// turn 2^32 + 1 runs into one run and -1 threads into 2^32 - 1.
-template <typename T>
-T get_int_as(const Options& opts, const std::string& name,
-             std::int64_t fallback,
-             std::int64_t min = std::numeric_limits<std::int64_t>::min(),
-             std::string_view below_min = {},
-             const std::string& env_name = "") {
-  const std::int64_t value = opts.get_int(name, fallback, env_name);
-  RDSE_REQUIRE(value >= min,
-               "option --" + name + ": " + std::string(below_min));
-  RDSE_REQUIRE(std::in_range<T>(value),
-               "option --" + name + ": " + std::to_string(value) +
-                   " is out of range");
-  return static_cast<T>(value);
 }
 
 ExplorerConfig base_config(const Options& opts, std::int64_t default_iters) {

@@ -56,9 +56,8 @@ class SolutionCache {
 
   [[nodiscard]] Stats stats() const;
 
-  /// Snapshot of every (key, payload) entry, MRU first — the persistence
-  /// writer's view. MRU-first order means a truncated persisted file loses
-  /// the least-recently-used tail, never the hot entries.
+  /// Snapshot of every (key, payload) entry, MRU first — the view a
+  /// compaction of the persisted database rewrites (oldest first).
   [[nodiscard]] std::vector<std::pair<std::string, std::string>>
   export_entries() const;
 

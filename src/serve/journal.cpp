@@ -1,40 +1,24 @@
 #include "serve/journal.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <fstream>
-#include <sstream>
 #include <unordered_map>
 #include <utility>
 
 #include "util/assert.hpp"
 #include "util/atomic_file.hpp"
-#include "util/faultfs.hpp"
-#include "util/hash.hpp"
 #include "util/json.hpp"
 
 namespace rdse::serve {
 
 namespace {
 
-std::string entry_checksum(std::string_view event, const std::string& key) {
-  std::string material(event);
-  material += '\n';
-  material += key;
-  return fnv1a64_hex(material);
-}
+constexpr RecordFields kJournalFields{"event", "key"};
 
 std::string entry_line(std::uint64_t seq, std::string_view event,
                        const std::string& key) {
-  JsonValue doc = JsonValue::object();
-  doc.set("seq", static_cast<std::int64_t>(seq));
-  doc.set("event", std::string(event));
-  doc.set("key", key);
-  doc.set("checksum", entry_checksum(event, key));
-  std::string line = doc.dump();
-  line += '\n';
-  return line;
+  JsonValue seq_member = JsonValue::object();
+  seq_member.set("seq", static_cast<std::int64_t>(seq));
+  return encode_record(std::move(seq_member), kJournalFields,
+                       std::string(event), key);
 }
 
 bool known_event(const std::string& event) {
@@ -42,48 +26,39 @@ bool known_event(const std::string& event) {
          event == "cancelled";
 }
 
+std::string journal_header() {
+  std::string header = kJournalFormat;
+  header += '\n';
+  return header;
+}
+
 }  // namespace
 
-WorkJournal::WorkJournal(std::string path) : path_(std::move(path)) {
+WorkJournal::WorkJournal(std::string path)
+    : path_(std::move(path)), log_(path_, journal_header()) {
   // ---- replay ----
+  const RecordScan scan = scan_records(path_, kJournalFields);
+  // A header that is some other format must be rejected loudly; an empty
+  // file (crash between create and first write) is simply fresh.
+  if (scan.header && *scan.header != kJournalFormat) {
+    throw Error("journal: '" + path_ + "' has a foreign format tag (want " +
+                std::string(kJournalFormat) + ")");
+  }
+  counters_.skipped = scan.skipped;
   std::vector<std::string> order;  // keys in first-accepted order
   std::unordered_map<std::string, bool> open_state;  // key -> still pending
-  std::ifstream in(path_);
-  const bool existed = in.is_open();
-  if (existed) {
-    std::string line;
-    const bool has_header = static_cast<bool>(std::getline(in, line));
-    // A header that is some other format must be rejected loudly; an empty
-    // file (crash between create and first write) is simply fresh.
-    if (has_header && line != kJournalFormat) {
-      throw Error("journal: '" + path_ + "' has a foreign format tag (want " +
-                  std::string(kJournalFormat) + ")");
+  for (const auto& [event, key] : scan.records) {
+    if (!known_event(event)) {
+      ++counters_.skipped;
+      continue;
     }
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;  // recovery byte after a failed append
-      std::string event;
-      std::string key;
-      try {
-        const JsonValue doc = JsonValue::parse(line);
-        event = doc.at("event").as_string();
-        key = doc.at("key").as_string();
-        if (!known_event(event) ||
-            doc.at("checksum").as_string() != entry_checksum(event, key)) {
-          ++counters_.skipped;
-          continue;
-        }
-      } catch (const std::exception&) {
-        ++counters_.skipped;  // torn or corrupt line
-        continue;
-      }
-      const bool pending = event == "accepted" || event == "started";
-      const auto it = open_state.find(key);
-      if (it == open_state.end()) {
-        open_state.emplace(key, pending);
-        order.push_back(key);
-      } else {
-        it->second = pending;  // last transition wins
-      }
+    const bool pending = event == "accepted" || event == "started";
+    const auto it = open_state.find(key);
+    if (it == open_state.end()) {
+      open_state.emplace(key, pending);
+      order.push_back(key);
+    } else {
+      it->second = pending;  // last transition wins
     }
   }
   for (const std::string& key : order) {
@@ -96,39 +71,21 @@ WorkJournal::WorkJournal(std::string path) : path_(std::move(path)) {
   // completed work does not accumulate. On a storage fault the old file is
   // left as-is — replay stays correct, just un-compacted — and appends
   // continue against it.
-  std::string data = kJournalFormat;
-  data += '\n';
+  std::string data = journal_header();
   for (const std::string& key : pending_) {
     data += entry_line(++seq_, "accepted", key);
   }
   if (write_file_atomic(path_, data)) {
-    if (existed) ++counters_.compactions;
+    if (scan.header) ++counters_.compactions;
   } else {
     ++counters_.append_failures;
   }
-
-  fd_ = ::open(path_.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC, 0644);
-  // A journal that cannot be opened degrades to counting failures per
-  // append — the service keeps answering, only durability is lost.
-}
-
-WorkJournal::~WorkJournal() {
-  if (fd_ >= 0) ::close(fd_);
 }
 
 bool WorkJournal::append(std::string_view event, const std::string& key) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (fd_ < 0) {
+  if (!log_.append(entry_line(++seq_, event, key))) {
     ++counters_.append_failures;
-    return false;
-  }
-  const std::string line = entry_line(++seq_, event, key);
-  if (!write_all_fd(fd_, line) || faultfs::fsync(fd_) != 0) {
-    ++counters_.append_failures;
-    // Best-effort newline so a half-written entry corrupts only itself,
-    // not the next append too. Raw write: the recovery byte must not be
-    // subject to the same injected fault plan it is recovering from.
-    (void)!::write(fd_, "\n", 1);
     return false;
   }
   ++counters_.appends;
@@ -137,8 +94,7 @@ bool WorkJournal::append(std::string_view event, const std::string& key) {
 
 bool WorkJournal::flush() {
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (fd_ < 0) return false;
-  return faultfs::fsync(fd_) == 0;
+  return log_.sync();
 }
 
 WorkJournal::Counters WorkJournal::counters() const {

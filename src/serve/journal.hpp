@@ -22,16 +22,20 @@
 /// The file is then compacted — rewritten atomically with only the pending
 /// entries — so completed work does not accumulate forever.
 ///
-/// Appends go through util/faultfs (write + fsync), so the fault-injection
-/// suite can prove every storage failure degrades to "entry not journaled,
-/// run still correct" — an append failure never corrupts the file beyond
-/// what the checksummed replay already skips.
+/// Entries use the checksummed record codec of util/record_log, shared with
+/// the cache database. Appends go through its RecordAppender (write + fsync
+/// via util/faultfs), so the fault-injection suite can prove every storage
+/// failure degrades to "entry not journaled, run still correct" — an append
+/// failure never corrupts the file beyond what the checksummed replay
+/// already skips.
 
 #include <cstdint>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "util/record_log.hpp"
 
 namespace rdse::serve {
 
@@ -51,7 +55,6 @@ class WorkJournal {
   /// Throws Error when the file exists but carries a foreign format tag —
   /// a journal that is not ours must not be silently rewritten.
   explicit WorkJournal(std::string path);
-  ~WorkJournal();
 
   WorkJournal(const WorkJournal&) = delete;
   WorkJournal& operator=(const WorkJournal&) = delete;
@@ -62,7 +65,7 @@ class WorkJournal {
   /// *next* entry too.
   bool append(std::string_view event, const std::string& key);
 
-  /// fsync the journal fd (SIGHUP flush); false when the sync failed.
+  /// fsync the journal (SIGHUP flush); false when the sync failed.
   bool flush();
 
   /// Keys accepted-but-not-completed at startup, in first-accepted order —
@@ -76,7 +79,7 @@ class WorkJournal {
  private:
   std::string path_;
   mutable std::mutex mutex_;
-  int fd_ = -1;
+  RecordAppender log_;
   std::uint64_t seq_ = 0;
   std::vector<std::string> pending_;
   Counters counters_;

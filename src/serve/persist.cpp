@@ -1,65 +1,34 @@
 #include "serve/persist.hpp"
 
-#include <fstream>
+#include <algorithm>
+#include <exception>
+#include <string_view>
 #include <unordered_set>
 
-#include "serve/cache.hpp"
 #include "util/atomic_file.hpp"
 #include "util/json.hpp"
+#include "util/record_log.hpp"
 
 namespace rdse::serve {
 
 namespace {
 
-/// Checksum covering one entry: the key and payload with an unambiguous
-/// separator (keys are compact JSON dumps and contain no newline).
-std::string entry_checksum(const std::string& key,
-                           const std::string& payload) {
-  std::string joined;
-  joined.reserve(key.size() + 1 + payload.size());
-  joined += key;
-  joined += '\n';
-  joined += payload;
-  return fnv1a64_hex(joined);
-}
+constexpr RecordFields kCacheFields{"key", "payload"};
 
-/// Parse and verify one entry line. Returns false on anything malformed —
-/// the caller counts it and moves on.
-bool parse_entry(const std::string& line, std::string* key,
-                 std::string* payload) {
+/// 2 or 1 for our own header line, 0 for anything else.
+int header_version(const std::string& line) {
   try {
     const JsonValue doc = JsonValue::parse(line);
-    if (doc.kind() != JsonValue::Kind::kObject) return false;
-    const JsonValue* k = doc.find("key");
-    const JsonValue* p = doc.find("payload");
-    const JsonValue* c = doc.find("checksum");
-    if (k == nullptr || p == nullptr || c == nullptr) return false;
-    if (k->kind() != JsonValue::Kind::kString ||
-        p->kind() != JsonValue::Kind::kString ||
-        c->kind() != JsonValue::Kind::kString) {
-      return false;
-    }
-    if (c->as_string() != entry_checksum(k->as_string(), p->as_string())) {
-      return false;
-    }
-    *key = k->as_string();
-    *payload = p->as_string();
-    return true;
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
-bool valid_header(const std::string& line) {
-  try {
-    const JsonValue doc = JsonValue::parse(line);
-    if (doc.kind() != JsonValue::Kind::kObject) return false;
+    if (doc.kind() != JsonValue::Kind::kObject) return 0;
     const JsonValue* format = doc.find("format");
-    return format != nullptr &&
-           format->kind() == JsonValue::Kind::kString &&
-           format->as_string() == kCacheDbFormat;
+    if (format == nullptr || format->kind() != JsonValue::Kind::kString) {
+      return 0;
+    }
+    if (format->as_string() == kCacheDbFormat) return 2;
+    if (format->as_string() == kCacheDbFormatV1) return 1;
+    return 0;
   } catch (const std::exception&) {
-    return false;
+    return 0;
   }
 }
 
@@ -67,52 +36,56 @@ bool valid_header(const std::string& line) {
 
 LoadedCacheDb load_cache_db(const std::string& path) {
   LoadedCacheDb out;
-  std::ifstream in(path);
-  if (!in.is_open()) return out;  // missing file: empty cache, no error
-
-  std::string line;
-  if (!std::getline(in, line)) return out;  // empty file: nothing to load
-  const bool header_ok = valid_header(line);
-  if (!header_ok) ++out.skipped;
-
-  std::unordered_set<std::string> seen;
-  while (std::getline(in, line)) {
-    std::string key;
-    std::string payload;
+  RecordScan scan = scan_records(path, kCacheFields);
+  if (!scan.header) return out;  // missing or empty file: nothing to load
+  const int version = header_version(*scan.header);
+  if (version == 0) {
     // A foreign or future-format file voids every line: without the
     // version handshake the entry layout is not trustworthy even when
     // individual checksums happen to verify.
-    if (!header_ok || !parse_entry(line, &key, &payload)) {
-      ++out.skipped;
-      continue;
-    }
-    // Entries are MRU first, so on a duplicate key the FIRST occurrence is
-    // the fresh one — a later duplicate is a stale leftover and must not
-    // shadow it.
-    if (!seen.insert(key).second) {
-      ++out.skipped;
-      continue;
-    }
-    out.entries.emplace_back(std::move(key), std::move(payload));
+    out.skipped = 1 + scan.records.size() + scan.skipped;
+    return out;
+  }
+  out.skipped = scan.skipped;
+  out.legacy = version == 1;
+  std::vector<Record>& records = scan.records;
+  // v1 is MRU first: reversed, it is the same chronological log as v2.
+  if (out.legacy) std::reverse(records.begin(), records.end());
+
+  // The last write of a key wins: walking newest to oldest, each key's
+  // first sighting is live and every earlier copy is dead.
+  std::vector<bool> live(records.size());
+  std::unordered_set<std::string_view> seen;
+  for (std::size_t i = records.size(); i-- > 0;) {
+    live[i] = seen.insert(records[i].first).second;
+    if (!live[i]) ++out.dead;
+  }
+  out.entries.reserve(seen.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    if (live[i]) out.entries.push_back(std::move(records[i]));
   }
   return out;
+}
+
+std::string cache_db_header() {
+  std::string header = "{\"format\": \"";
+  header += kCacheDbFormat;
+  header += "\"}\n";
+  return header;
+}
+
+std::string cache_db_record(const std::string& key,
+                            const std::string& payload) {
+  return encode_record(JsonValue::object(), kCacheFields, key, payload);
 }
 
 bool save_cache_db(
     const std::string& path,
     std::span<const std::pair<std::string, std::string>> entries) {
-  std::string data = "{\"format\": \"";
-  data += kCacheDbFormat;
-  data += "\"}\n";
+  std::string data = cache_db_header();
   for (const auto& [key, payload] : entries) {
-    JsonValue doc = JsonValue::object();
-    doc.set("key", key);
-    doc.set("payload", payload);
-    doc.set("checksum", entry_checksum(key, payload));
-    data += doc.dump();
-    data += '\n';
+    data += cache_db_record(key, payload);
   }
-
   return write_file_atomic(path, data);
 }
 

@@ -1,5 +1,6 @@
 #include "serve/service.hpp"
 
+#include <algorithm>
 #include <exception>
 #include <future>
 #include <span>
@@ -61,7 +62,8 @@ ExplorationService::ExplorationService(ServiceConfig config)
     : config_(std::move(config)),
       cache_(config_.cache_capacity),
       pool_(config_.workers == 0 ? 1 : config_.workers),
-      start_time_(std::chrono::steady_clock::now()) {
+      start_time_(std::chrono::steady_clock::now()),
+      persist_log_(config_.persist_path, cache_db_header()) {
   load_persisted_cache();
   if (!config_.journal_path.empty()) {
     journal_ = std::make_unique<WorkJournal>(config_.journal_path);
@@ -87,14 +89,14 @@ void ExplorationService::begin_drain() {
     if (draining_) return;
     draining_ = true;
   }
-  // Final flush so results computed since the last save survive the
-  // shutdown even if an insert-time save failed transiently.
-  save_persisted_cache();
+  // Final compaction: persists hit recency, drops dead records and
+  // rewrites any result whose append failed transiently.
+  compact_persisted_cache();
   if (journal_) (void)journal_->flush();
 }
 
 void ExplorationService::reload() {
-  save_persisted_cache();
+  compact_persisted_cache();
   if (journal_) (void)journal_->flush();
 }
 
@@ -155,26 +157,61 @@ void ExplorationService::replay_journal() {
 void ExplorationService::load_persisted_cache() {
   if (config_.persist_path.empty()) return;
   LoadedCacheDb db = load_cache_db(config_.persist_path);
-  // The file is MRU first; inserting in reverse replays the entries in
-  // recency order, restoring the original LRU order (and letting the
-  // configured capacity trim the cold tail).
-  for (auto it = db.entries.rbegin(); it != db.entries.rend(); ++it) {
-    cache_.insert(it->first, std::move(it->second));
+  // The entries are oldest first; inserting them in order restores the
+  // original LRU order (and lets the configured capacity trim the cold
+  // end).
+  for (auto& [key, payload] : db.entries) {
+    cache_.insert(key, std::move(payload));
   }
   const std::lock_guard<std::mutex> lock(persist_mutex_);
   persist_loaded_ = db.entries.size();
   persist_skipped_ = db.skipped;
+  persist_records_ = db.entries.size() + db.dead;
+  // A clean, compact file costs no startup write; anything else is
+  // rewritten before the first append lands in it.
+  persist_dirty_ = db.legacy || db.skipped > 0 ||
+                   persist_records_ > cache_.stats().entries;
+  if (persist_dirty_) compact_persisted_cache_locked();
 }
 
-void ExplorationService::save_persisted_cache() {
+void ExplorationService::persist_fresh_result(const std::string& key,
+                                              const std::string& payload) {
   if (config_.persist_path.empty()) return;
-  const auto entries = cache_.export_entries();
   const std::lock_guard<std::mutex> lock(persist_mutex_);
-  if (save_cache_db(config_.persist_path, entries)) {
+  if (persist_log_.append(cache_db_record(key, payload))) {
     ++persist_saves_;
+    ++persist_records_;
   } else {
+    // The file lacks this entry until the next compaction writes it.
     ++persist_save_failures_;
   }
+  // Fixed rule: compact once the dead records outnumber the live entries.
+  const std::size_t live = cache_.stats().entries;
+  if (persist_dirty_ || persist_records_ > 2 * live) {
+    compact_persisted_cache_locked();
+  }
+}
+
+void ExplorationService::compact_persisted_cache() {
+  if (config_.persist_path.empty()) return;
+  const std::lock_guard<std::mutex> lock(persist_mutex_);
+  compact_persisted_cache_locked();
+}
+
+void ExplorationService::compact_persisted_cache_locked() {
+  auto entries = cache_.export_entries();  // MRU first
+  std::reverse(entries.begin(), entries.end());
+  if (save_cache_db(config_.persist_path, entries)) {
+    ++persist_compactions_;
+    persist_records_ = entries.size();
+    persist_dirty_ = false;
+  } else {
+    ++persist_save_failures_;
+    persist_dirty_ = true;
+  }
+  // Even a failed rename may have put a new inode at the path; the old fd
+  // would append to the unlinked file.
+  persist_log_.reopen();
 }
 
 ServiceStats ExplorationService::stats() const {
@@ -211,6 +248,7 @@ ServiceStats ExplorationService::stats() const {
     s.persist_loaded = persist_loaded_;
     s.persist_skipped = persist_skipped_;
     s.persist_saves = persist_saves_;
+    s.persist_compactions = persist_compactions_;
     s.persist_save_failures = persist_save_failures_;
   }
   return s;
@@ -264,6 +302,8 @@ JsonValue ExplorationService::status_payload() const {
     persist.set("loaded", static_cast<std::int64_t>(s.persist_loaded));
     persist.set("skipped", static_cast<std::int64_t>(s.persist_skipped));
     persist.set("saves", static_cast<std::int64_t>(s.persist_saves));
+    persist.set("compactions",
+                static_cast<std::int64_t>(s.persist_compactions));
     persist.set("save_failures",
                 static_cast<std::int64_t>(s.persist_save_failures));
     doc.set("persist", std::move(persist));
@@ -397,7 +437,7 @@ std::string ExplorationService::run_work_request(const Request& request) {
   try {
     std::string payload = future.get();
     cache_.insert(key, payload);
-    save_persisted_cache();
+    persist_fresh_result(key, payload);
     journal_event("completed", key);
     {
       const std::lock_guard<std::mutex> lock(mutex_);

@@ -28,6 +28,7 @@
 #include "serve/journal.hpp"
 #include "serve/protocol.hpp"
 #include "util/cancel.hpp"
+#include "util/record_log.hpp"
 #include "util/thread_pool.hpp"
 
 namespace rdse::serve {
@@ -47,9 +48,13 @@ struct ServiceConfig {
   /// exceeds this cap — one oversized request must not starve the queue.
   std::int64_t max_iterations = 1'000'000;
   std::int64_t retry_after_ms = 250;
-  /// Path of the persisted solution cache (rdse.cachedb.v1); empty
-  /// disables persistence. Loaded and verified at construction, rewritten
-  /// atomically (temp + fsync + rename) after every fresh result.
+  /// Path of the persisted solution cache (rdse.cachedb.v2, see
+  /// serve/persist.hpp); empty disables persistence. Loaded and verified at
+  /// construction; every fresh result appends one record (write + fsync).
+  /// The file is compacted — rewritten atomically with only the live
+  /// entries — at drain and SIGHUP, at startup when it has dead or skipped
+  /// lines or is v1, and when its dead records outnumber the live entries.
+  /// A cache hit's recency is persisted only at compaction.
   std::string persist_path;
   /// Path of the write-ahead work journal (rdse.journal.v1); empty
   /// disables journaling. Replayed and compacted at construction;
@@ -76,7 +81,9 @@ struct ServiceStats {
   bool persist_enabled = false;
   std::uint64_t persist_loaded = 0;   ///< entries restored at startup
   std::uint64_t persist_skipped = 0;  ///< corrupt lines skipped at startup
-  std::uint64_t persist_saves = 0;    ///< successful database writes
+  std::uint64_t persist_saves = 0;    ///< fresh results durably appended
+  std::uint64_t persist_compactions = 0;  ///< successful whole-file rewrites
+  /// Failed appends and failed compactions.
   std::uint64_t persist_save_failures = 0;
   std::int64_t uptime_ms = 0;  ///< since service construction
   /// One entry per request executing right now: the request fingerprint
@@ -115,10 +122,10 @@ class ExplorationService {
   /// Stop admitting work requests (they get a "shutting down" error);
   /// queued-but-unstarted work is cancelled at pickup (its caller gets a
   /// "cancelled" error without the run executing), in-flight runs still
-  /// complete, and the persisted cache — if any — is flushed.
+  /// complete, and the persisted cache — if any — is compacted.
   void begin_drain();
 
-  /// SIGHUP hook: flush the persisted cache and fsync the journal without
+  /// SIGHUP hook: compact the persisted cache and fsync the journal without
   /// touching admission state — connections and in-flight work continue.
   void reload();
 
@@ -130,7 +137,10 @@ class ExplorationService {
                                   const CancelToken* cancel) const;
   [[nodiscard]] JsonValue status_payload() const;
   void load_persisted_cache();
-  void save_persisted_cache();
+  void persist_fresh_result(const std::string& key,
+                            const std::string& payload);
+  void compact_persisted_cache();
+  void compact_persisted_cache_locked();
   void journal_event(std::string_view event, const std::string& key);
   void replay_journal();
 
@@ -160,12 +170,20 @@ class ExplorationService {
   std::uint64_t errors_ = 0;
   std::uint64_t cancelled_ = 0;
 
-  /// Serializes whole-database writes (saves snapshot the cache, so they
-  /// never hold mutex_).
+  /// Serializes appends and compactions. A compaction snapshots the cache
+  /// while holding it, so a result inserted before the snapshot is in the
+  /// rewrite and one inserted after is appended to the new file.
   mutable std::mutex persist_mutex_;
+  RecordAppender persist_log_;
+  /// Verified records in the database file, live and dead.
+  std::size_t persist_records_ = 0;
+  /// The file needs a rewrite: set at startup (v1, skipped lines or dead
+  /// records) and by a failed compaction, which the next miss retries.
+  bool persist_dirty_ = false;
   std::uint64_t persist_loaded_ = 0;
   std::uint64_t persist_skipped_ = 0;
   std::uint64_t persist_saves_ = 0;
+  std::uint64_t persist_compactions_ = 0;
   std::uint64_t persist_save_failures_ = 0;
 };
 

@@ -1,7 +1,7 @@
 #pragma once
 /// \file atomic_file.hpp
 /// \brief The temp+fsync+atomic-rename write discipline, shared by every
-/// durable artifact (`rdse.cachedb.v1`, `rdse.checkpoint.v1`, journal
+/// durable artifact (`rdse.checkpoint.v1`, cache-database and journal
 /// compaction).
 ///
 /// All data-path syscalls are routed through util/faultfs so the

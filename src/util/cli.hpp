@@ -5,12 +5,16 @@
 /// bench harness can be scaled via RDSE_* variables without editing code).
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
+
+#include "util/assert.hpp"
 
 namespace rdse {
 
@@ -60,5 +64,23 @@ class Options {
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
 };
+
+/// Integer option --NAME (or `env_name`) as a T: refused below `min` with
+/// `below_min`, and refused when T cannot hold it — a narrowing cast would
+/// turn 2^32 + 1 runs into one run and -1 threads into 2^32 - 1.
+template <typename T>
+T get_int_as(const Options& opts, const std::string& name,
+             std::int64_t fallback,
+             std::int64_t min = std::numeric_limits<std::int64_t>::min(),
+             std::string_view below_min = {},
+             const std::string& env_name = "") {
+  const std::int64_t value = opts.get_int(name, fallback, env_name);
+  RDSE_REQUIRE(value >= min,
+               "option --" + name + ": " + std::string(below_min));
+  RDSE_REQUIRE(std::in_range<T>(value),
+               "option --" + name + ": " + std::to_string(value) +
+                   " is out of range");
+  return static_cast<T>(value);
+}
 
 }  // namespace rdse

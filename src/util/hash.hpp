@@ -1,7 +1,7 @@
 #pragma once
 /// \file hash.hpp
 /// \brief FNV-1a fingerprints and 64-bit hex codecs shared by every
-/// persistence format (`rdse.cachedb.v1`, `rdse.checkpoint.v1`,
+/// persistence format (`rdse.cachedb.v2`, `rdse.checkpoint.v1`,
 /// `rdse.journal.v1`).
 ///
 /// JSON numbers are doubles, so a full 64-bit word cannot round-trip

@@ -1,5 +1,6 @@
 /// Fault-injection suite for the fault-tolerant serve stack: crash-safe
-/// cache persistence (rdse.cachedb.v1), the util/faultfs write/fsync/rename
+/// cache persistence (rdse.cachedb.v2, append per miss, compaction, v1
+/// migration, a seeded mutation test), the util/faultfs write/fsync/rename
 /// shim, request deadlines with cooperative cancellation, and drain
 /// semantics. Every injected storage fault must degrade to "cache miss,
 /// correct answer" — never a crash, never a wrong payload. Runs under ASan
@@ -9,6 +10,8 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <fstream>
 #include <future>
@@ -24,6 +27,8 @@
 #include "serve/service.hpp"
 #include "util/faultfs.hpp"
 #include "util/json.hpp"
+#include "util/record_log.hpp"
+#include "util/rng.hpp"
 
 namespace rdse::serve {
 namespace {
@@ -59,7 +64,16 @@ class FaultFsTest : public ::testing::Test {
 
 // ------------------------------------------------------------ persistence
 
-TEST(ServePersist, SaveAndLoadRoundTripInMruOrder) {
+/// The same lines under the v1 header: a v1 file is these records, MRU
+/// first.
+void write_v1_file(const std::string& path, const Entries& mru_first) {
+  ASSERT_TRUE(save_cache_db(path, mru_first));
+  const std::string v2 = read_file(path);
+  write_file(path, "{\"format\": \"rdse.cachedb.v1\"}" +
+                       v2.substr(v2.find('\n')));
+}
+
+TEST(ServePersist, SaveAndLoadRoundTripOldestFirst) {
   const std::string path = db_path("cachedb-roundtrip.json");
   const Entries entries = {{"key-a", "payload-a"},
                            {"key-b", "payload {\"nested\": [1, 2]}"},
@@ -67,10 +81,26 @@ TEST(ServePersist, SaveAndLoadRoundTripInMruOrder) {
   ASSERT_TRUE(save_cache_db(path, entries));
   const LoadedCacheDb db = load_cache_db(path);
   EXPECT_EQ(db.skipped, 0u);
+  EXPECT_EQ(db.dead, 0u);
+  EXPECT_FALSE(db.legacy);
   EXPECT_EQ(db.entries, entries);
   const std::string text = read_file(path);
-  EXPECT_EQ(text.rfind("{\"format\": \"rdse.cachedb.v1\"}\n", 0), 0u)
+  EXPECT_EQ(text.rfind("{\"format\": \"rdse.cachedb.v2\"}\n", 0), 0u)
       << text;
+}
+
+TEST(ServePersist, V1FileLoadsInMruOrder) {
+  const std::string path = db_path("cachedb-v1.json");
+  write_v1_file(path, Entries{{"key-a", "payload-a"},
+                              {"key-b", "payload-b"},
+                              {"key-c", "payload-c"}});
+  const LoadedCacheDb db = load_cache_db(path);
+  EXPECT_TRUE(db.legacy);
+  EXPECT_EQ(db.skipped, 0u);
+  // MRU first on disk, oldest first in memory.
+  EXPECT_EQ(db.entries, (Entries{{"key-c", "payload-c"},
+                                 {"key-b", "payload-b"},
+                                 {"key-a", "payload-a"}}));
 }
 
 TEST(ServePersist, MissingFileLoadsEmpty) {
@@ -96,7 +126,7 @@ TEST(ServePersist, ForeignFormatHeaderVoidsEveryLine) {
   ASSERT_NE(nl, std::string::npos);
   // Same entry lines under a future format version: not trustworthy.
   write_file(path,
-             "{\"format\": \"rdse.cachedb.v2\"}" + good.substr(nl));
+             "{\"format\": \"rdse.cachedb.v9\"}" + good.substr(nl));
   const LoadedCacheDb db = load_cache_db(path);
   EXPECT_TRUE(db.entries.empty());
   EXPECT_EQ(db.skipped, 2u);  // header + the voided entry
@@ -130,21 +160,167 @@ TEST(ServePersist, TamperedPayloadFailsTheChecksum) {
   EXPECT_EQ(db.skipped, 1u);
 }
 
-TEST(ServePersist, DuplicateKeyKeepsTheFreshMruOccurrence) {
-  // Regression: entries are MRU first, so when a database carries the same
-  // key twice (e.g. a partially compacted file), the FIRST occurrence is
-  // the fresh payload — a stale later duplicate must be skipped, not allowed
-  // to shadow it in the rebuilt cache.
+TEST(ServePersist, DuplicateKeyKeepsTheLastWrite) {
+  // Records are oldest first, so when the log carries the same key twice
+  // the LAST occurrence is the fresh payload, and its position is the key's
+  // recency; the stale earlier copy is dead.
   const std::string path = db_path("cachedb-dupkey.json");
-  ASSERT_TRUE(save_cache_db(path, Entries{{"hot-key", "fresh-payload"},
+  ASSERT_TRUE(save_cache_db(path, Entries{{"hot-key", "stale-payload"},
                                           {"other", "payload"},
-                                          {"hot-key", "stale-payload"}}));
+                                          {"hot-key", "fresh-payload"}}));
   const LoadedCacheDb db = load_cache_db(path);
-  ASSERT_EQ(db.entries.size(), 2u);
-  EXPECT_EQ(db.entries[0],
-            (std::pair<std::string, std::string>{"hot-key", "fresh-payload"}));
-  EXPECT_EQ(db.entries[1].first, "other");
-  EXPECT_EQ(db.skipped, 1u);  // the stale duplicate
+  EXPECT_EQ(db.entries, (Entries{{"other", "payload"},
+                                 {"hot-key", "fresh-payload"}}));
+  EXPECT_EQ(db.dead, 1u);  // the stale duplicate
+  EXPECT_EQ(db.skipped, 0u);
+}
+
+TEST(ServePersist, V1DuplicateKeyKeepsTheFreshMruOccurrence) {
+  // Regression: a v1 file is MRU first, so when it carries the same key
+  // twice the FIRST occurrence is the fresh payload — a stale later
+  // duplicate must not shadow it in the rebuilt cache.
+  const std::string path = db_path("cachedb-v1-dupkey.json");
+  write_v1_file(path, Entries{{"hot-key", "fresh-payload"},
+                              {"other", "payload"},
+                              {"hot-key", "stale-payload"}});
+  const LoadedCacheDb db = load_cache_db(path);
+  EXPECT_TRUE(db.legacy);
+  EXPECT_EQ(db.entries, (Entries{{"other", "payload"},
+                                 {"hot-key", "fresh-payload"}}));
+  EXPECT_EQ(db.dead, 1u);  // the stale duplicate
+  EXPECT_EQ(db.skipped, 0u);
+}
+
+TEST(ServePersist, AppendedRecordsReplayWithTheLastWriteWinning) {
+  const std::string path = db_path("cachedb-append.json");
+  ASSERT_TRUE(save_cache_db(path, Entries{{"a", "a1"}, {"b", "b1"}}));
+  {
+    RecordAppender log(path, cache_db_header());
+    ASSERT_TRUE(log.append(cache_db_record("c", "c1")));
+    ASSERT_TRUE(log.append(cache_db_record("a", "a2")));
+  }
+  const LoadedCacheDb db = load_cache_db(path);
+  // "a" was rewritten last: it is the most recent entry, with its new
+  // payload, and its first record is dead.
+  EXPECT_EQ(db.entries, (Entries{{"b", "b1"}, {"c", "c1"}, {"a", "a2"}}));
+  EXPECT_EQ(db.dead, 1u);
+  EXPECT_EQ(db.skipped, 0u);
+}
+
+TEST(ServePersist, AppendStartsANewFileWithItsHeader) {
+  const std::string path = db_path("cachedb-append-new.json");
+  {
+    RecordAppender log(path, cache_db_header());
+    ASSERT_TRUE(log.append(cache_db_record("k", "p")));
+  }
+  EXPECT_EQ(read_file(path), cache_db_header() + cache_db_record("k", "p"));
+}
+
+TEST(ServePersist, TornAppendedTailIsSkippedAndTheNextAppendSurvives) {
+  const std::string path = db_path("cachedb-torn-append.json");
+  ASSERT_TRUE(save_cache_db(path, Entries{{"a", "a1"}}));
+  {
+    RecordAppender log(path, cache_db_header());
+    ASSERT_TRUE(log.append(cache_db_record("b", "b1")));
+  }
+  // A crash mid-append: the last record lost its end, newline included.
+  const std::string text = read_file(path);
+  write_file(path, text.substr(0, text.size() - 7));
+  LoadedCacheDb db = load_cache_db(path);
+  EXPECT_EQ(db.entries, (Entries{{"a", "a1"}}));
+  EXPECT_EQ(db.skipped, 1u);
+
+  // The next append starts on a fresh line instead of extending the torn
+  // one.
+  {
+    RecordAppender log(path, cache_db_header());
+    ASSERT_TRUE(log.append(cache_db_record("c", "c1")));
+  }
+  db = load_cache_db(path);
+  EXPECT_EQ(db.entries, (Entries{{"a", "a1"}, {"c", "c1"}}));
+  EXPECT_EQ(db.skipped, 1u);
+}
+
+/// Count of non-blank lines after the first — what the loader must account
+/// for as entries, dead records or skipped lines.
+std::uint64_t body_lines(const std::string& text) {
+  std::uint64_t lines = 0;
+  std::size_t start = text.find('\n');
+  while (start != std::string::npos) {
+    const std::size_t end = text.find('\n', start + 1);
+    const std::size_t len =
+        (end == std::string::npos ? text.size() : end) - start - 1;
+    if (len > 0) ++lines;
+    start = end;
+  }
+  return lines;
+}
+
+TEST(ServePersist, SeededMutantsLoadVerifiedEntriesOrCountSkips) {
+  // The cache-DB slice of the on-disk parser fuzzer: bit flips, truncations
+  // and splices of a valid v2 file, from fixed seeds. Every mutant must
+  // load without throwing, return only entries whose checksums verify
+  // (here: exact original pairs), and account for every other line as
+  // dead or skipped.
+  const std::string path = db_path("cachedb-mutant.json");
+  Entries original;
+  for (int i = 0; i < 6; ++i) {
+    original.emplace_back(
+        R"({"op": "explore", "seed": )" + std::to_string(i) + "}",
+        R"({"best": {"makespan_ms": )" + std::to_string(40 + i) + "}}");
+  }
+  original.emplace_back(original[1].first, "rewritten payload");
+  ASSERT_TRUE(save_cache_db(path, original));
+  const std::string valid = read_file(path);
+  const std::string header = valid.substr(0, valid.find('\n'));
+
+  constexpr int kMutants = 600;
+  for (int seed = 1; seed <= kMutants; ++seed) {
+    Rng rng(static_cast<std::uint64_t>(seed));
+    std::string mutant = valid;
+    const int edits = static_cast<int>(rng.uniform_int(1, 3));
+    for (int e = 0; e < edits && !mutant.empty(); ++e) {
+      switch (rng.index(3)) {
+        case 0: {  // flip one bit
+          const std::size_t at = rng.index(mutant.size());
+          mutant[at] = static_cast<char>(mutant[at] ^ (1 << rng.index(8)));
+          break;
+        }
+        case 1:  // truncate
+          mutant.resize(rng.index(mutant.size() + 1));
+          break;
+        default: {  // splice a copy of one span into another place
+          const std::size_t from = rng.index(mutant.size());
+          const std::size_t len = 1 + rng.index(mutant.size() - from);
+          const std::string span = mutant.substr(from, len);
+          mutant.insert(rng.index(mutant.size() + 1), span);
+          break;
+        }
+      }
+    }
+    write_file(path, mutant);
+
+    LoadedCacheDb db;
+    ASSERT_NO_THROW(db = load_cache_db(path)) << "seed " << seed;
+    for (const auto& entry : db.entries) {
+      EXPECT_NE(std::find(original.begin(), original.end(), entry),
+                original.end())
+          << "seed " << seed << ": unverified entry " << entry.first;
+    }
+    if (mutant.empty()) {
+      EXPECT_TRUE(db.entries.empty()) << "seed " << seed;
+      EXPECT_EQ(db.skipped, 0u) << "seed " << seed;
+      continue;
+    }
+    const std::uint64_t body = body_lines(mutant);
+    const bool accounted = db.entries.size() + db.dead + db.skipped == body;
+    const bool voided = db.entries.empty() && db.dead == 0 &&
+                        db.skipped == 1 + body;
+    EXPECT_TRUE(accounted || voided) << "seed " << seed;
+    if (mutant.substr(0, mutant.find('\n')) == header) {
+      EXPECT_TRUE(accounted) << "seed " << seed;
+    }
+  }
 }
 
 // -------------------------------------------------------------- faultfs
@@ -232,6 +408,22 @@ TEST_F(FaultFsTest, TornRenameCommitsARecoverableTruncatedFile) {
   }
 }
 
+TEST_F(FaultFsTest, FailedFirstAppendLeavesAnEmptyFileForTheNextOne) {
+  // A failed append that was starting the file must not leave a torn
+  // header behind (that would void every later record): the file goes back
+  // to empty and the next append writes the header again.
+  const std::string path = db_path("cachedb-first-append-fault.json");
+  RecordAppender log(path, cache_db_header());
+  faultfs::FaultPlan plan;
+  plan.short_write_nth = 1;
+  faultfs::set_plan(plan);
+  EXPECT_FALSE(log.append(cache_db_record("lost", "p")));
+  faultfs::clear();
+  EXPECT_EQ(read_file(path), "");
+  ASSERT_TRUE(log.append(cache_db_record("kept", "p")));
+  EXPECT_EQ(load_cache_db(path).entries, (Entries{{"kept", "p"}}));
+}
+
 // ------------------------------------------- service-level persistence
 
 std::string explore_line(int seed) {
@@ -316,6 +508,9 @@ TEST_F(FaultFsTest, EveryInjectedFaultDegradesToMissNotWrongPayload) {
       const auto handled = service.handle(explore_line(9));
       ASSERT_TRUE(handled.ok) << spec << ": " << handled.response;
       fresh = handled.response;
+      // The write and fsync faults hit the miss's append; the rename
+      // faults hit the drain compaction.
+      service.begin_drain();
       EXPECT_GE(service.stats().persist_save_failures, 1u) << spec;
     }
     faultfs::clear();
@@ -333,6 +528,225 @@ TEST_F(FaultFsTest, EveryInjectedFaultDegradesToMissNotWrongPayload) {
       EXPECT_EQ(fresh, again.response) << spec;
     }
   }
+}
+
+/// The on-disk image a kill -9 would leave right now: a byte copy taken
+/// while the service is alive, so its drain compaction never reaches it.
+std::string crash_image(const std::string& path, const std::string& name) {
+  const std::string image = db_path(name);
+  write_file(image, read_file(path));
+  return image;
+}
+
+/// A fast deterministic-mapper request; distinct `clbs` give distinct keys.
+std::string heft_line(int clbs) {
+  return R"({"op": "explore", "mapper": "heft", "clbs": )" +
+         std::to_string(clbs) + "}";
+}
+
+std::vector<std::string> loaded_keys(const std::string& path) {
+  std::vector<std::string> keys;
+  for (const auto& entry : load_cache_db(path).entries) {
+    keys.push_back(entry.first);
+  }
+  return keys;
+}
+
+std::string heft_key(int clbs) {
+  return canonical_key(parse_request(JsonValue::parse(heft_line(clbs))));
+}
+
+TEST_F(FaultFsTest, MissesAppendAndACrashImageRestoresTheLruOrder) {
+  ServiceConfig config = fast_config();
+  config.cache_capacity = 2;
+  config.persist_path = db_path("cachedb-append-crash.json");
+  std::string image;
+  {
+    ExplorationService service(config);
+    for (const int clbs : {400, 500, 600}) {
+      ASSERT_TRUE(service.handle(heft_line(clbs)).ok);
+    }
+    // A hit changes recency in memory only; the log keeps write order.
+    ASSERT_TRUE(service.handle(heft_line(500)).ok);
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.persist_saves, 3u);  // one append per fresh result
+    EXPECT_EQ(stats.persist_compactions, 0u);  // 1 dead < 2 live
+    image = crash_image(config.persist_path, "cachedb-append-image.json");
+  }
+  EXPECT_EQ(loaded_keys(image),
+            (std::vector<std::string>{heft_key(400), heft_key(500),
+                                      heft_key(600)}));
+
+  config.persist_path = image;
+  ExplorationService restarted(config);
+  const ServiceStats stats = restarted.stats();
+  EXPECT_EQ(stats.persist_loaded, 3u);
+  EXPECT_EQ(stats.cache.entries, 2u);  // capacity trimmed the oldest
+  // Three records for two live entries: the startup compaction rewrote
+  // the file, oldest first.
+  EXPECT_EQ(stats.persist_compactions, 1u);
+  EXPECT_EQ(loaded_keys(image),
+            (std::vector<std::string>{heft_key(500), heft_key(600)}));
+  EXPECT_NE(restarted.handle(heft_line(600)).response.find(
+                R"("cached": true)"),
+            std::string::npos);
+  EXPECT_NE(restarted.handle(heft_line(400)).response.find(
+                R"("cached": false)"),
+            std::string::npos);
+}
+
+TEST_F(FaultFsTest, DeadRecordsOutnumberingLiveEntriesTriggerACompaction) {
+  ServiceConfig config = fast_config();
+  config.cache_capacity = 2;
+  config.persist_path = db_path("cachedb-dead-rule.json");
+  ExplorationService service(config);
+  for (const int clbs : {400, 500, 600, 700}) {
+    ASSERT_TRUE(service.handle(heft_line(clbs)).ok);
+  }
+  EXPECT_EQ(service.stats().persist_compactions, 0u);  // 2 dead, 2 live
+  ASSERT_TRUE(service.handle(heft_line(800)).ok);      // 3 dead, 2 live
+  EXPECT_EQ(service.stats().persist_compactions, 1u);
+  EXPECT_EQ(service.stats().persist_saves, 5u);
+  const LoadedCacheDb db = load_cache_db(config.persist_path);
+  EXPECT_EQ(db.dead, 0u);
+  EXPECT_EQ(loaded_keys(config.persist_path),
+            (std::vector<std::string>{heft_key(700), heft_key(800)}));
+}
+
+TEST_F(FaultFsTest, CleanCompactFileCostsNoStartupWrite) {
+  ServiceConfig config = fast_config();
+  config.persist_path = db_path("cachedb-no-startup-write.json");
+  {
+    ExplorationService fresh(config);  // missing file: nothing written
+    EXPECT_EQ(fresh.stats().persist_compactions, 0u);
+    EXPECT_NE(::access(config.persist_path.c_str(), F_OK), 0);
+    ASSERT_TRUE(fresh.handle(heft_line(400)).ok);
+  }  // drain compaction: one record, one live entry
+  ExplorationService restarted(config);
+  EXPECT_EQ(restarted.stats().persist_loaded, 1u);
+  EXPECT_EQ(restarted.stats().persist_compactions, 0u);
+}
+
+TEST_F(FaultFsTest, AppendAfterACompactionReachesTheRenamedFile) {
+  // Regression guard: a compaction renames a new inode over the path, so
+  // an append through the fd opened before it would land in the unlinked
+  // file and vanish.
+  ServiceConfig config = fast_config();
+  config.persist_path = db_path("cachedb-compact-append.json");
+  std::string image;
+  {
+    ExplorationService service(config);
+    ASSERT_TRUE(service.handle(heft_line(400)).ok);  // opens the fd
+    service.reload();                                // SIGHUP compaction
+    ASSERT_TRUE(service.handle(heft_line(500)).ok);  // appends after it
+    EXPECT_EQ(service.stats().persist_compactions, 1u);
+    EXPECT_EQ(service.stats().persist_saves, 2u);
+    image = crash_image(config.persist_path, "cachedb-compact-image.json");
+  }
+  config.persist_path = image;
+  ExplorationService restarted(config);
+  EXPECT_EQ(restarted.stats().persist_loaded, 2u);
+  EXPECT_NE(restarted.handle(heft_line(500)).response.find(
+                R"("cached": true)"),
+            std::string::npos);
+}
+
+TEST_F(FaultFsTest, V1DatabaseLoadsInMruOrderAndIsRewrittenAsV2) {
+  ServiceConfig config = fast_config();
+  config.cache_capacity = 2;
+  config.persist_path = db_path("cachedb-v1-service.json");
+  write_v1_file(config.persist_path, Entries{{"hot", "p-hot"},
+                                             {"warm", "p-warm"},
+                                             {"cold", "p-cold"}});
+  ExplorationService service(config);
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.persist_loaded, 3u);
+  EXPECT_EQ(stats.persist_compactions, 1u);
+  EXPECT_EQ(stats.cache.entries, 2u);  // the cold end was trimmed
+  const std::string text = read_file(config.persist_path);
+  EXPECT_EQ(text.rfind(cache_db_header(), 0), 0u) << text;
+  const LoadedCacheDb db = load_cache_db(config.persist_path);
+  EXPECT_FALSE(db.legacy);
+  EXPECT_EQ(db.entries, (Entries{{"warm", "p-warm"}, {"hot", "p-hot"}}));
+}
+
+TEST_F(FaultFsTest, ConcurrentMissesAcrossCompactionsLoseNoLiveEntry) {
+  // Misses from several threads race SIGHUP compactions; the crash image
+  // taken afterwards must still hold every live entry.
+  ServiceConfig config = fast_config();
+  config.workers = 3;
+  config.queue_capacity = 64;
+  config.cache_capacity = 64;
+  config.persist_path = db_path("cachedb-concurrent.json");
+  constexpr int kClients = 3;
+  constexpr int kPerClient = 16;
+  std::string image;
+  {
+    ExplorationService service(config);
+    std::atomic<bool> done{false};
+    std::thread compactor([&] {
+      while (!done.load()) {
+        service.reload();
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+      }
+    });
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([&service, c] {
+        for (int i = 0; i < kPerClient; ++i) {
+          const int k = c * kPerClient + i;
+          EXPECT_TRUE(service.handle(heft_line(100 + 10 * k)).ok);
+        }
+      });
+    }
+    for (std::thread& t : clients) t.join();
+    done = true;
+    compactor.join();
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.persist_saves, kClients * kPerClient);
+    EXPECT_GE(stats.persist_compactions, 1u);
+    EXPECT_EQ(stats.persist_save_failures, 0u);
+    image = crash_image(config.persist_path, "cachedb-concurrent-image.json");
+  }
+  config.persist_path = image;
+  ExplorationService restarted(config);
+  EXPECT_EQ(restarted.stats().persist_loaded, kClients * kPerClient);
+  for (int k = 0; k < kClients * kPerClient; ++k) {
+    EXPECT_NE(restarted.handle(heft_line(100 + 10 * k)).response.find(
+                  R"("cached": true)"),
+              std::string::npos)
+        << k;
+  }
+}
+
+TEST_F(FaultFsTest, FailedAppendIsCountedAndHealedByTheDrainCompaction) {
+  ServiceConfig config = fast_config();
+  config.persist_path = db_path("cachedb-append-fault.json");
+  {
+    ExplorationService service(config);
+    ASSERT_TRUE(service.handle(heft_line(400)).ok);
+    faultfs::FaultPlan plan;
+    plan.fail_write_nth = 1;
+    faultfs::set_plan(plan);
+    ASSERT_TRUE(service.handle(heft_line(500)).ok);  // still answered
+    faultfs::clear();
+    ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.persist_saves, 1u);
+    EXPECT_EQ(stats.persist_save_failures, 1u);
+    // The file lacks the failed entry but is otherwise intact.
+    LoadedCacheDb db = load_cache_db(config.persist_path);
+    EXPECT_EQ(db.entries.size(), 1u);
+    EXPECT_EQ(db.skipped, 0u);
+
+    service.begin_drain();
+    stats = service.stats();
+    EXPECT_EQ(stats.persist_compactions, 1u);
+    EXPECT_EQ(stats.persist_saves, 1u);  // compactions are not saves
+    db = load_cache_db(config.persist_path);
+    EXPECT_EQ(db.entries.size(), 2u);
+  }
+  ExplorationService restarted(config);
+  EXPECT_EQ(restarted.stats().persist_loaded, 2u);
 }
 
 // ------------------------------------------------- write-ahead journal
